@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -174,13 +172,6 @@ class ResultTable:
         raise KeyError((sweep, scheme, metric))
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NFBF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _est_rng(seed: int) -> np.random.Generator:
     # independent stream per trial for pilot-noise draws, stable across sweeps
     return np.random.default_rng((_EST_STREAM, seed))
@@ -191,15 +182,12 @@ def _needs_codebook(schemes) -> bool:
 
 
 class _TrialState:
-    """Per-trial artifacts reusable across noise levels within one scenario."""
+    """Per-trial artifacts reusable across the sweep values that keep the array and K."""
 
-    def __init__(self, spec: ExperimentSpec, scenario: Scenario, cb: PolarCodebook | None,
-                 r_count: int, s_count: int):
+    def __init__(self, spec: ExperimentSpec, scenario: Scenario, cb: PolarCodebook | None):
         self.spec = spec
         self.scenario = scenario
         self.cb = cb
-        self.r_count = r_count
-        self.s_count = s_count
         self.seed = scenario.seed
         self._cache: dict = {}
 
@@ -214,31 +202,32 @@ class _TrialState:
             lambda: [beam_sweep(self.cb, u.vector) for u in self.scenario.users],
         )
 
-    def analog(self, scheme: str):
-        if scheme == "aobf-perfect":
-            return self._get("aobf-p", lambda: aobf_perfect_csi(self.scenario, self.spec.mm)[0])
-        if scheme == "aobf-imperfect":
-            cfg = replace(self.spec.mm, mu_mode="spectral")
-            return self._get(
-                "aobf-i",
-                lambda: aobf_imperfect_csi(
-                    self.cb, self.indices(), self.r_count, self.s_count, cfg
-                )[0],
-            )
-        if scheme == "steer-perfect":
+    def steering(self, csi: str):
+        if csi == "perfect":
             return self._get(
                 "steer-p", lambda: analog_beam_steering("perfect", scenario=self.scenario)
             )
-        if scheme == "steer-imperfect":
+        return self._get(
+            "steer-i",
+            lambda: analog_beam_steering("imperfect", cb=self.cb, indices=self.indices()),
+        )
+
+    def analog(self, scheme: str, aux: tuple[int, int]):
+        """Analog-only beamformer; aux = (R, S) sizes the aobf-imperfect grid."""
+        if scheme == "aobf-perfect":
+            return self._get("aobf-p", lambda: aobf_perfect_csi(self.scenario, self.spec.mm)[0])
+        if scheme == "aobf-imperfect":
             return self._get(
-                "steer-i",
-                lambda: analog_beam_steering("imperfect", cb=self.cb, indices=self.indices()),
+                ("aobf-i", aux),
+                lambda: aobf_imperfect_csi(self.cb, self.indices(), *aux, self.spec.mm)[0],
             )
+        if scheme in ("steer-perfect", "steer-imperfect"):
+            return self.steering(scheme.removeprefix("steer-"))
         raise ValueError(scheme)
 
     def eff(self, csi: str, sigma2: float):
         """Effective channel for the hybrid schemes of one CSI regime."""
-        f_ab = self.analog("steer-perfect" if csi == "perfect" else "steer-imperfect")
+        f_ab = self.steering(csi)
         if csi == "perfect":
             return self._get("eff-p", lambda: effective_channel(f_ab, self.scenario))
         sigma_e2 = self.spec.pilot_noise_factor * sigma2
@@ -251,12 +240,12 @@ class _TrialState:
             ),
         )
 
-    def beamformer(self, scheme: str, sigma2: float):
+    def beamformer(self, scheme: str, sigma2: float, aux: tuple[int, int]):
         """Beamformer matrix for metrics; may raise SingularEffectiveChannelError."""
         if scheme in ANALOG_SCHEMES:
-            return self.analog(scheme)
+            return self.analog(scheme, aux)
         csi = "perfect" if scheme.endswith("-perfect") else "imperfect"
-        f_ab = self.analog("steer-perfect" if csi == "perfect" else "steer-imperfect")
+        f_ab = self.steering(csi)
         eff = self.eff(csi, sigma2)
         if scheme.startswith("hbf-zf"):
             key = ("zf", csi, sigma2 if csi == "imperfect" else None)
@@ -264,9 +253,9 @@ class _TrialState:
         key = ("wmmse", csi, sigma2)
         return self._get(key, lambda: hbf_wmmse(f_ab, eff, self.spec.p, sigma2)[0]).composite
 
-    def rate(self, scheme: str, sigma2: float) -> float:
+    def rate(self, scheme: str, sigma2: float, aux: tuple[int, int]) -> float:
         try:
-            f = self.beamformer(scheme, sigma2)
+            f = self.beamformer(scheme, sigma2, aux)
         except SingularEffectiveChannelError:
             return float("nan")
         f.validate()
@@ -301,68 +290,48 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     if not sweep:
         raise ValueError("sweep values must be nonempty")
 
-    snr_sweep = spec.experiment in ("sumrate-vs-snr", "ee-vs-snr")
-    if snr_sweep:
+    # one (value, array, K, (R, S), noise power) entry per sweep value
+    aux = (spec.r_count, spec.s_count)
+    sigma2 = noise_from_snr(spec.p, spec.k, spec.snr_db)
+    if spec.experiment in ("sumrate-vs-snr", "ee-vs-snr"):
         per_value = [
-            (v, spec.array_config(), spec.k, spec.r_count, spec.s_count,
-             noise_from_snr(spec.p, spec.k, v))
+            (v, spec.array_config(), spec.k, aux, noise_from_snr(spec.p, spec.k, v))
             for v in sweep
         ]
     elif spec.experiment == "sumrate-vs-nbs":
-        per_value = [
-            (v, spec.array_config(int(v)), spec.k, spec.r_count, spec.s_count,
-             noise_from_snr(spec.p, spec.k, spec.snr_db))
-            for v in sweep
-        ]
+        per_value = [(v, spec.array_config(int(v)), spec.k, aux, sigma2) for v in sweep]
     elif spec.experiment == "sumrate-vs-k":
         per_value = [
-            (v, spec.array_config(), int(v), spec.r_count, spec.s_count,
-             noise_from_snr(spec.p, int(v), spec.snr_db))
+            (v, spec.array_config(), int(v), aux, noise_from_snr(spec.p, int(v), spec.snr_db))
             for v in sweep
         ]
     else:  # aux-sweep
-        per_value = [
-            (v, spec.array_config(), spec.k, int(v), int(v),
-             noise_from_snr(spec.p, spec.k, spec.snr_db))
-            for v in sweep
-        ]
+        per_value = [(v, spec.array_config(), spec.k, (int(v), int(v)), sigma2) for v in sweep]
 
     codebooks: dict[int, PolarCodebook] = {}
     if _needs_codebook(spec.schemes):
-        for _, cfg, _, _, _, _ in per_value:
+        for _, cfg, _, _, _ in per_value:
             if cfg.n_bs not in codebooks:
                 codebooks[cfg.n_bs] = build_codebook(cfg, spec.n_dis, spec.beta)
 
     def run_trial(trial: int) -> dict:
+        # sweep values that keep the array and K share one scenario draw and sweep
         seed = spec.base_seed + trial
+        states: dict = {}
         out = {}
-        state = None
-        for v, cfg, k, rc, sc, sigma2 in per_value:
-            if snr_sweep:
-                if state is None:
-                    state = _TrialState(
-                        spec, random_scenario(cfg, k, spec.l, seed),
-                        codebooks.get(cfg.n_bs), rc, sc,
-                    )
-                st = state
-            else:
-                st = _TrialState(
-                    spec, random_scenario(cfg, k, spec.l, seed),
-                    codebooks.get(cfg.n_bs), rc, sc,
+        for v, cfg, k, rs, s2 in per_value:
+            if (cfg, k) not in states:
+                states[(cfg, k)] = _TrialState(
+                    spec, random_scenario(cfg, k, spec.l, seed), codebooks.get(cfg.n_bs)
                 )
             for scheme in spec.schemes:
-                out[(v, scheme)] = st.rate(scheme, sigma2)
+                out[(v, scheme)] = states[(cfg, k)].rate(scheme, s2, rs)
         return out
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(run_trial, range(spec.trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(spec.trials)]
+    per_trial = [run_trial(t) for t in range(spec.trials)]
 
     rows: list[ResultRow] = []
-    for v, cfg, k, _, _, _ in per_value:
+    for v, cfg, k, _, _ in per_value:
         for scheme in spec.schemes:
             rates = np.array([per_trial[t][(v, scheme)] for t in range(spec.trials)])
             mean, stderr, n = _aggregate(rates)
@@ -455,7 +424,7 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     cb = build_codebook(cfg, spec.n_dis, spec.beta) if _needs_codebook(spec.schemes) else None
     # patterns are deterministic readouts, so the effective channel stays noiseless
     pattern_spec = replace(spec, pilot_noise_factor=0.0, k=k)
-    state = _TrialState(pattern_spec, scenario, cb, spec.r_count, spec.s_count)
+    state = _TrialState(pattern_spec, scenario, cb)
 
     lam = cfg.wavelength
     angles_deg = np.arange(-90.0, 91.0, 1.0)
@@ -466,7 +435,7 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     grids = {}
     gains = {}
     for scheme in spec.schemes:
-        f = state.beamformer(scheme, sigma2)
+        f = state.beamformer(scheme, sigma2, (spec.r_count, spec.s_count))
         f.validate()
         m = f.matrix
         total = np.zeros((angles_deg.size, radii.size))

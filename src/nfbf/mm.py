@@ -1,16 +1,19 @@
 """Constant-modulus beamformer design by majorization-minimization.
 
 Per user k the design minimizes a leakage-regularized objective
--|h_k^H f|^2 + omega * sum_{i != k} |h_i^H f|^2 over unit-modulus-entry
-vectors. Each iteration majorizes the objective by a linear surrogate and
-minimizes it in closed form: f <- (1/sqrt(N)) exp(j angle(G f)), where G folds
-the target outer product, the weighted interference outer products, and a
-mu-scaled identity that certifies the surrogate.
+-sum |u^H f|^2 + omega * (same sum over the other users' rows) over
+unit-modulus-entry vectors, where each user is represented by a stack of rows
+U_k. Each iteration majorizes the objective by a linear surrogate and
+minimizes it in closed form: f <- (1/sqrt(N)) exp(j angle(G f)) with
+G = U_k^T U_k^* - omega (Z_k - mu I), Z_k the interference matrix
+sum_{i != k} U_i^T U_i^* and mu a constant that certifies the surrogate.
 
-Two regimes are provided: perfect CSI (channel vectors known) and imperfect
-CSI, where each user's channel is represented by steering vectors at auxiliary
-points around a swept codeword and the same update runs on those surrogate
-outer products.
+One engine serves both regimes. Perfect CSI gives each user the single row
+h_k^T and starts at the conjugate-phase beamformer; imperfect CSI gives each
+user the steering vectors at the auxiliary points around its swept codeword
+and starts at that codeword. The regimes differ only in these rows, the
+starting columns and the rule for mu. The loop reads the objective trace off
+the product it already computes: obj(f) = omega mu ||f||^2 - Re(f^H G f).
 """
 
 from __future__ import annotations
@@ -38,20 +41,18 @@ class MMConfig:
     """MM loop parameters.
 
     mu_mode selects the additive constant that certifies the interference
-    surrogate. "spectral" uses per-interferer ||h_i||^2 in the perfect-CSI
-    update and the top eigenvalue of the total interference matrix in the
-    imperfect-CSI update (both certified majorizers, so the objective descent
-    is guaranteed). "paper-exact" uses the shared worst-case constant
-    max_i ||h_i||^2 for perfect CSI and the literal 1/N per auxiliary point
-    for imperfect CSI (not a certified majorizer there; descent may fail).
-    None picks per-regime defaults: spectral (perfect), paper-exact
-    (imperfect).
+    surrogate. "spectral" (the default in both regimes) uses sum_i ||h_i||^2
+    for perfect CSI and the top eigenvalue of the interference matrix for
+    imperfect CSI; both are certified majorizers, so the objective descends.
+    "paper-exact" uses (K-1) max_i ||h_i||^2 for perfect CSI and the literal
+    1/N per auxiliary point for imperfect CSI (not a certified majorizer
+    there; descent may fail).
     """
 
     omega: float = 1000.0
     epsilon: float = 1e-9
     t_max: int = 1000
-    mu_mode: str | None = None
+    mu_mode: str = MU_SPECTRAL
 
     def __post_init__(self):
         if self.omega < 0:
@@ -60,11 +61,8 @@ class MMConfig:
             raise ValueError("epsilon must be positive")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.mu_mode is not None and self.mu_mode not in _MU_MODES:
+        if self.mu_mode not in _MU_MODES:
             raise ValueError(f"unknown mu_mode: {self.mu_mode!r}")
-
-    def resolved_mu(self, default: str) -> str:
-        return default if self.mu_mode is None else self.mu_mode
 
 
 @dataclass
@@ -80,70 +78,129 @@ class MMReport:
     converged: list[bool] = field(default_factory=list)
 
 
-def slnr_objective(h_all, f_col, k: int, omega: float) -> float:
-    """-|h_k^H f|^2 + omega * sum_{i != k} |h_i^H f|^2."""
-    if not 0 <= k < len(h_all):
-        raise ValueError("bad user index")
-    f = np.asarray(f_col)
-    gains = np.array([np.abs(np.asarray(h).conj() @ f) ** 2 for h in h_all])
-    return float(-gains[k] + omega * (np.sum(gains) - gains[k]))
+def _row_power(u: np.ndarray) -> float:
+    return float(np.sum(np.abs(u) ** 2))
 
 
-def _phase_step(g_mat: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """One closed-form surrogate minimization: project G f onto unit phases.
+# mu rules: (other users' row stacks, their interference matrix) -> mu
+_PERFECT_MU = {
+    MU_SPECTRAL: lambda others, z_int: sum(_row_power(u) for u in others),
+    MU_PAPER_EXACT: lambda others, z_int: max(_row_power(u) for u in others) * len(others),
+}
+_IMPERFECT_MU = {
+    MU_SPECTRAL: lambda others, z_int: float(np.linalg.eigvalsh(z_int)[-1]),
+    MU_PAPER_EXACT: lambda others, z_int: sum(u.shape[0] for u in others) / z_int.shape[0],
+}
+
+
+def _update_matrix(stacks: list[np.ndarray], k: int, omega: float, mu_rule) -> tuple:
+    """(G, mu) for user k: G = U_k^T U_k^* - omega (Z_k - mu I), mu = 0 without interferers."""
+    g = stacks[k].T @ stacks[k].conj()
+    others = [u for i, u in enumerate(stacks) if i != k]
+    if not others:
+        return g, 0.0
+    n = g.shape[0]
+    z_int = np.zeros((n, n), dtype=complex)
+    for u in others:
+        z_int += u.T @ u.conj()
+    mu = mu_rule(others, z_int)
+    return g - omega * z_int + omega * mu * np.eye(n), mu
+
+
+def _project(gf: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Closed-form surrogate minimizer: the unit phases of G f.
 
     Entries where (G f) is exactly zero keep the previous entry (any phase is
     optimal there; retention keeps the update deterministic).
     """
-    n = f.shape[0]
-    gf = g_mat @ f
-    out = np.exp(1j * np.angle(gf)) / np.sqrt(n)
+    out = np.exp(1j * np.angle(gf)) / np.sqrt(f.shape[0])
     zero = gf == 0
     if np.any(zero):
         out[zero] = f[zero]
     return out
 
 
-def _perfect_update_matrix(hh: np.ndarray, k: int, cfg: MMConfig) -> np.ndarray:
-    """G = h_k h_k^H - omega sum_{i != k}(h_i h_i^H - mu_i I)."""
-    n, kk = hh.shape
-    others = [i for i in range(kk) if i != k]
-    g = np.outer(hh[:, k], hh[:, k].conj())
-    if others:
-        ho = hh[:, others]
-        g = g - cfg.omega * (ho @ ho.conj().T)
-        norms2 = np.sum(np.abs(ho) ** 2, axis=0)
-        if cfg.resolved_mu(MU_SPECTRAL) == MU_SPECTRAL:
-            mu_total = float(np.sum(norms2))
-        else:
-            mu_total = float(norms2.max()) * len(others)
-        g = g + cfg.omega * mu_total * np.eye(n)
-    return g
+def _run_mm(g_mat: np.ndarray, f0: np.ndarray, cfg: MMConfig, offset: float) -> tuple:
+    """Iterate the phase step from f0; returns (f, iterations, trace, converged).
 
-
-def mm_update_perfect(h_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
-    """One perfect-CSI MM iteration for user k's column."""
-    hh = np.stack([np.asarray(h) for h in h_all], axis=1)
-    if not 0 <= k < hh.shape[1]:
-        raise ValueError("bad user index")
-    return _phase_step(_perfect_update_matrix(hh, k, cfg), np.asarray(f_col))
-
-
-def _run_mm(g_mat: np.ndarray, f0: np.ndarray, cfg: MMConfig, objective) -> tuple:
-    """Iterate the phase update from f0; returns (f, iterations, trace, converged)."""
+    offset is omega * mu, so each trace value is offset ||f||^2 - Re(f^H G f),
+    read off the product G f that the next step projects.
+    """
     f = f0
-    trace = [objective(f)]
+    gf = g_mat @ f
+    trace = [offset * np.vdot(f, f).real - np.vdot(f, gf).real]
     converged = False
     t = 0
     for t in range(1, cfg.t_max + 1):
-        f_new = _phase_step(g_mat, f)
-        trace.append(objective(f_new))
+        f_new = _project(gf, f)
         diff = float(np.sum(np.abs(f_new - f) ** 2))
         f = f_new
+        gf = g_mat @ f
+        trace.append(offset * np.vdot(f, f).real - np.vdot(f, gf).real)
         if diff <= cfg.epsilon:
             converged = True
             break
     return f, t, np.array(trace), converged
+
+
+def _design(stacks: list[np.ndarray], starts: list[np.ndarray], cfg: MMConfig,
+            mu_rules: dict) -> tuple[BeamformerMatrix, MMReport]:
+    """Run the MM loop for every user's column from its start."""
+    cols = np.empty((starts[0].shape[0], len(starts)), dtype=complex)
+    report = MMReport()
+    for k, f0 in enumerate(starts):
+        g, mu = _update_matrix(stacks, k, cfg.omega, mu_rules[cfg.mu_mode])
+        f, t, trace, conv = _run_mm(g, f0, cfg, cfg.omega * mu)
+        cols[:, k] = f
+        report.iterations_used.append(t)
+        report.objective_trace.append(trace)
+        report.converged.append(conv)
+    return BeamformerMatrix(matrix=cols, kind=ANALOG_ONLY), report
+
+
+def _checked_stacks(stacks, k: int) -> list[np.ndarray]:
+    stacks = [np.asarray(u) for u in stacks]
+    if not 0 <= k < len(stacks):
+        raise ValueError("bad user index")
+    return stacks
+
+
+def _perfect_stacks(h_all) -> list[np.ndarray]:
+    return [np.asarray(h)[None, :] for h in h_all]
+
+
+def imperfect_objective(aux_vectors_all, f_col, k: int, omega: float) -> float:
+    """Surrogate-support objective: -sum_rs |u_k^H f|^2 + omega * leakage."""
+    stacks = _checked_stacks(aux_vectors_all, k)
+    f = np.asarray(f_col)
+    totals = np.array([np.sum(np.abs(u.conj() @ f) ** 2) for u in stacks])
+    return float(-totals[k] + omega * (np.sum(totals) - totals[k]))
+
+
+def slnr_objective(h_all, f_col, k: int, omega: float) -> float:
+    """-|h_k^H f|^2 + omega * sum_{i != k} |h_i^H f|^2."""
+    return imperfect_objective(_perfect_stacks(h_all), f_col, k, omega)
+
+
+def _single_step(stacks, f_col, k: int, cfg: MMConfig, mu_rules: dict) -> np.ndarray:
+    stacks = _checked_stacks(stacks, k)
+    g, _ = _update_matrix(stacks, k, cfg.omega, mu_rules[cfg.mu_mode])
+    f = np.asarray(f_col)
+    return _project(g @ f, f)
+
+
+def mm_update_perfect(h_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
+    """One perfect-CSI MM iteration for user k's column."""
+    return _single_step(_perfect_stacks(h_all), f_col, k, cfg, _PERFECT_MU)
+
+
+def mm_update_imperfect(aux_vectors_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
+    """One imperfect-CSI MM iteration for user k's column.
+
+    aux_vectors_all holds one (R*S, N) steering stack per user, as returned by
+    approximate_channel_matrices.
+    """
+    return _single_step(aux_vectors_all, f_col, k, cfg, _IMPERFECT_MU)
 
 
 def aobf_perfect_csi(scenario, cfg: MMConfig | None = None) -> tuple[BeamformerMatrix, MMReport]:
@@ -153,66 +210,10 @@ def aobf_perfect_csi(scenario, cfg: MMConfig | None = None) -> tuple[BeamformerM
     and iterates the MM update until the squared step norm drops to epsilon or
     t_max is hit.
     """
-    if cfg is None:
-        cfg = MMConfig()
     hh = scenario.channel_matrix()
-    n, kk = hh.shape
-    cols = np.empty((n, kk), dtype=complex)
-    report = MMReport()
-    for k in range(kk):
-        f0 = np.exp(1j * np.angle(hh[:, k])) / np.sqrt(n)
-        g = _perfect_update_matrix(hh, k, cfg)
-        h_list = [hh[:, i] for i in range(kk)]
-        obj = lambda f: slnr_objective(h_list, f, k, cfg.omega)  # noqa: E731
-        f, t, trace, conv = _run_mm(g, f0, cfg, obj)
-        cols[:, k] = f
-        report.iterations_used.append(t)
-        report.objective_trace.append(trace)
-        report.converged.append(conv)
-    return BeamformerMatrix(matrix=cols, kind=ANALOG_ONLY), report
-
-
-def _aux_outer(us: np.ndarray) -> np.ndarray:
-    """sum over rows u of u u^H for a (M, N) stack of steering vectors."""
-    return us.T @ us.conj()
-
-
-def _imperfect_update_matrix(aux_all: list[np.ndarray], k: int, cfg: MMConfig) -> np.ndarray:
-    """G for the imperfect-CSI update built from auxiliary steering stacks."""
-    n = aux_all[k].shape[1]
-    others = [i for i in range(len(aux_all)) if i != k]
-    g = _aux_outer(aux_all[k])
-    if others:
-        z_int = np.zeros((n, n), dtype=complex)
-        count = 0
-        for i in others:
-            z_int += _aux_outer(aux_all[i])
-            count += aux_all[i].shape[0]
-        if cfg.resolved_mu(MU_PAPER_EXACT) == MU_SPECTRAL:
-            mu_total = float(np.linalg.eigvalsh(z_int)[-1])
-        else:
-            mu_total = count / n
-        g = g - cfg.omega * z_int + cfg.omega * mu_total * np.eye(n)
-    return g
-
-
-def mm_update_imperfect(aux_vectors_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
-    """One imperfect-CSI MM iteration for user k's column.
-
-    aux_vectors_all holds one (R*S, N) steering stack per user, as returned by
-    approximate_channel_matrices.
-    """
-    aux_all = [np.asarray(u) for u in aux_vectors_all]
-    if not 0 <= k < len(aux_all):
-        raise ValueError("bad user index")
-    return _phase_step(_imperfect_update_matrix(aux_all, k, cfg), np.asarray(f_col))
-
-
-def imperfect_objective(aux_vectors_all, f_col, k: int, omega: float) -> float:
-    """Surrogate-support objective: -sum_rs |u_k^H f|^2 + omega * leakage."""
-    f = np.asarray(f_col)
-    totals = np.array([np.sum(np.abs(np.asarray(u).conj() @ f) ** 2) for u in aux_vectors_all])
-    return float(-totals[k] + omega * (np.sum(totals) - totals[k]))
+    n = hh.shape[0]
+    starts = [np.exp(1j * np.angle(h)) / np.sqrt(n) for h in hh.T]
+    return _design(_perfect_stacks(hh.T), starts, cfg or MMConfig(), _PERFECT_MU)
 
 
 def aobf_imperfect_csi(
@@ -228,23 +229,9 @@ def aobf_imperfect_csi(
     steering vectors at the R x S auxiliary points of each user's cell. Fully
     deterministic given inputs.
     """
-    if cfg is None:
-        cfg = MMConfig()
     grids: list[AuxiliaryGrid] = [
         auxiliary_points(cb, idx, r_count, s_count) for idx in indices
     ]
-    aux_all = approximate_channel_matrices(cb, grids)
-    n = cb.array.n_bs
-    kk = len(indices)
-    cols = np.empty((n, kk), dtype=complex)
-    report = MMReport()
-    for k in range(kk):
-        f0 = cb.codeword(indices[k]).copy()
-        g = _imperfect_update_matrix(aux_all, k, cfg)
-        obj = lambda f: imperfect_objective(aux_all, f, k, cfg.omega)  # noqa: E731
-        f, t, trace, conv = _run_mm(g, f0, cfg, obj)
-        cols[:, k] = f
-        report.iterations_used.append(t)
-        report.objective_trace.append(trace)
-        report.converged.append(conv)
-    return BeamformerMatrix(matrix=cols, kind=ANALOG_ONLY), report
+    stacks = approximate_channel_matrices(cb, grids)
+    starts = [cb.codeword(idx).copy() for idx in indices]
+    return _design(stacks, starts, cfg or MMConfig(), _IMPERFECT_MU)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -222,15 +221,26 @@ def test_singular_zero_forcing_becomes_nan_policy():
     assert st.trials == 2 and np.isfinite(st.mean)
 
 
-def test_thread_pool_reduction_is_order_stable():
-    spec = _tiny_spec(trials=4)
-    want = run_experiment(spec).to_csv()
-    os.environ["NFBF_THREADS"] = "3"
-    try:
-        got = run_experiment(spec).to_csv()
-    finally:
-        del os.environ["NFBF_THREADS"]
-    assert got == want
+def test_mm_mu_mode_from_config_reaches_aobf_imperfect():
+    doc = dict(
+        experiment="sumrate-vs-snr",
+        schemes=["aobf-perfect", "aobf-imperfect"],
+        trials=2,
+        sweep=[10.0],
+        n_bs=16,
+        k=2,
+        l=2,
+        n_dis=10,
+        r_count=2,
+        s_count=2,
+    )
+    default = run_experiment(spec_from_dict(doc))
+    spectral = run_experiment(spec_from_dict(dict(doc, mm={"mu_mode": "spectral"})))
+    paper = run_experiment(spec_from_dict(dict(doc, mm={"mu_mode": "paper-exact"})))
+    assert default.to_csv() == spectral.to_csv()
+    assert paper.value(10.0, "aobf-imperfect", "sum_rate") != default.value(
+        10.0, "aobf-imperfect", "sum_rate"
+    )
 
 
 def test_all_schemes_run_on_a_tiny_problem():
