@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nfbf.channel import PathComponent, Scenario, make_user_channel, random_scenario
-from nfbf.codebook import CodewordIndex, beam_sweep, build_codebook
+from nfbf.codebook import (
+    CodewordIndex,
+    approximate_channel_matrices,
+    auxiliary_points,
+    beam_sweep,
+    build_codebook,
+)
 from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.metrics import ANALOG_ONLY
 from nfbf.mm import (
@@ -299,8 +305,6 @@ def test_imperfect_design_starts_at_codeword_and_descends():
     mm = MMConfig(mu_mode="spectral", epsilon=np.inf)
     f1, rep1 = aobf_imperfect_csi(cb, indices, 2, 2, mm)
     # one-update run reproduces a manual step from the codeword initialization
-    from nfbf.codebook import approximate_channel_matrices, auxiliary_points
-
     aux = approximate_channel_matrices(
         cb, [auxiliary_points(cb, i, 2, 2) for i in indices]
     )
@@ -373,8 +377,6 @@ def _swept_designs(seed, mm):
     sc = random_scenario(cfg, 3, 2, seed=seed)
     hh = sc.channel_matrix()
     indices = [beam_sweep(cb, u.vector) for u in sc.users]
-    from nfbf.codebook import approximate_channel_matrices, auxiliary_points
-
     aux = approximate_channel_matrices(cb, [auxiliary_points(cb, i, 2, 2) for i in indices])
     perfect = (aobf_perfect_csi(sc, mm), list(hh.T), slnr_objective,
                [np.exp(1j * np.angle(h)) / 4.0 for h in hh.T])
@@ -406,8 +408,6 @@ def test_trace_error_is_bounded_by_the_shift_when_the_objective_vanishes():
     indices = [CodewordIndex(5, 1), CodewordIndex(5, 1), CodewordIndex(12, 2)]
     mm = MMConfig()
     f, rep = aobf_imperfect_csi(cb, indices, 1, 1, mm)
-    from nfbf.codebook import approximate_channel_matrices, auxiliary_points
-
     aux = approximate_channel_matrices(cb, [auxiliary_points(cb, i, 1, 1) for i in indices])
     for k in range(2):
         z_int = sum(aux[i].T @ aux[i].conj() for i in range(3) if i != k)
