@@ -130,6 +130,43 @@ def _eff_sum_rate(g: np.ndarray, v: np.ndarray, per_user: float, sigma2: float) 
     return float(np.sum(np.log2(1.0 + sig / (interf + sigma2))))
 
 
+def _power_limited_precoder(
+    a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, budget: float
+) -> np.ndarray:
+    """pinv(A + mu B) C at the multiplier mu > 0 where tr(V^H B V) meets budget.
+
+    For mu > 0 every A + mu B has the range of A + B, so whitening by A + B on
+    that range, W = V_r diag(s_r)^(-1/2), and diagonalizing W^H B W =
+    Q diag(gamma) Q^H give pinv(A + mu B) = W Q diag(1/(1 + (mu-1) gamma)) Q^H W^H.
+    The power is then sum_i gamma_i |y_i|^2 / (1 + (mu-1) gamma_i)^2 with
+    y = Q^H W^H C, and mu is bracketed by doubling and bisected in scalars.
+    """
+    s, vecs = np.linalg.eigh(a_mat + b)
+    keep = s > s[-1] * len(s) * np.finfo(s.dtype).eps
+    w = vecs[:, keep] / np.sqrt(s[keep])
+    gamma, q = np.linalg.eigh(w.conj().T @ b @ w)
+    wq = w @ q
+    y = wq.conj().T @ c
+    weights = gamma * np.sum(np.abs(y) ** 2, axis=1)
+    terms = list(zip(gamma.tolist(), weights.tolist()))
+
+    def power(mu: float) -> float:
+        return sum(t / (1.0 + (mu - 1.0) * g) ** 2 for g, t in terms)
+
+    lo, hi = 0.0, 1.0
+    while power(hi) > budget:
+        hi *= 2.0
+        if hi > 1e12:
+            break
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if power(mid) > budget:
+            lo = mid
+        else:
+            hi = mid
+    return wq @ (y / (1.0 + (hi - 1.0) * gamma)[:, None])
+
+
 def hbf_wmmse(
     f_ab,
     eff: EffectiveChannel,
@@ -141,10 +178,14 @@ def hbf_wmmse(
     """Weighted-MMSE digital stage on the effective channel.
 
     Alternates per-user scalar receivers, MSE weights, and a digital precoder
-    solved from the weighted normal equations under the composite power budget
-    sum_k ||F_AB d_k||^2 <= K (Lagrange multiplier found by bisection), until
-    the relative sum-rate change drops below tol or iters is reached. A final
-    per-column renormalization enforces unit composite column norms.
+    solved from the weighted normal equations. When that solution exceeds the
+    composite power budget sum_k ||F_AB d_k||^2 <= K, the precoder takes the
+    Lagrange multiplier that meets the budget, bisected on a scalar power
+    function (`_power_limited_precoder`). Iterates until the relative sum-rate
+    change drops below tol or iters is reached. A final per-column
+    renormalization enforces unit composite column norms, also for a user that
+    WMMSE switched off: its decayed column keeps its direction, or, once it has
+    decayed below the normal floats, is replaced by the user's analog column.
     """
     a = np.asarray(getattr(f_ab, "matrix", f_ab))
     kk = eff.matrix.shape[1]
@@ -174,32 +215,21 @@ def hbf_wmmse(
         a_mat = (g * wu2) @ g.conj().T
         c = g * (w * u.conj())
 
-        def solve(mu: float) -> np.ndarray:
-            return np.linalg.lstsq(a_mat + mu * b, c, rcond=None)[0]
-
-        def power(vv: np.ndarray) -> float:
-            return float(np.real(np.einsum("ik,ij,jk->", vv.conj(), b, vv)))
-
-        v_new = solve(0.0)
-        if power(v_new) > kk:
-            lo, hi = 0.0, 1.0
-            while power(solve(hi)) > kk:
-                hi *= 2.0
-                if hi > 1e12:
-                    break
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if power(solve(mid)) > kk:
-                    lo = mid
-                else:
-                    hi = mid
-            v_new = solve(hi)
-        v = v_new
+        v = np.linalg.lstsq(a_mat, c, rcond=None)[0]
+        if np.real(np.einsum("ik,ij,jk->", v.conj(), b, v)) > kk:
+            v = _power_limited_precoder(a_mat, b, c, kk)
         trace.append(_eff_sum_rate(eff.matrix, v, per_user, sigma2))
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
             converged = True
             break
 
+    # a user WMMSE switches off keeps a column that decays geometrically: bring
+    # it to unit scale, or its squared entries underflow in the norm; a column
+    # that has decayed below the normal floats is served by its analog column
+    peak = np.max(np.abs(v), axis=0)
+    off = peak < np.finfo(peak.dtype).tiny
+    v = v / np.where(off, 1.0, peak)
+    v[:, off] = np.eye(kk)[:, off]
     norms = np.linalg.norm(a @ v, axis=0)
     norms[norms == 0] = 1.0
     v = v / norms

@@ -5,6 +5,8 @@ these files can. A change that moves the numbers on purpose re-freezes them
 with `PYTHONPATH=src python tests/test_golden.py` and lists every changed row.
 """
 
+import csv
+import io
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,58 @@ def test_golden_csv_is_byte_identical(name):
     assert run_experiment(GOLDEN_SPECS[name]).to_csv() == want
 
 
+def _keyed_rows(text):
+    return {(r["sweep"], r["scheme"], r["metric"]): r for r in csv.DictReader(io.StringIO(text))}
+
+
+def _rel(old, new):
+    old, new = float(old), float(new)
+    if old == 0:
+        return 0.0 if new == 0 else float("inf")
+    return (new - old) / abs(old)
+
+
+def changed_rows(old_csv, new_csv):
+    """One line per row that differs between two result CSVs: old -> new mean
+    with its relative delta, and the stderr and trial count where they moved."""
+    old, new = _keyed_rows(old_csv), _keyed_rows(new_csv)
+    lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        label = ",".join(key)
+        if key not in new:
+            lines.append(f"{label}: removed")
+        elif key not in old:
+            lines.append(f"{label}: added, mean {new[key]['mean']}")
+        elif old[key] != new[key]:
+            o, n = old[key], new[key]
+            parts = [f"mean {o['mean']} -> {n['mean']} ({_rel(o['mean'], n['mean']):+.2e})"]
+            if o["stderr"] != n["stderr"]:
+                parts.append(f"stderr {_rel(o['stderr'], n['stderr']):+.2e}")
+            if o["trials"] != n["trials"]:
+                parts.append(f"trials {o['trials']} -> {n['trials']}")
+            lines.append(f"{label}: " + ", ".join(parts))
+    return lines
+
+
+def test_changed_rows_lists_every_moved_row():
+    old = "sweep,scheme,metric,mean,stderr,trials\n1,a,m,2.0,1.0,2\n1,b,m,3.0,1.0,2\n"
+    new = "sweep,scheme,metric,mean,stderr,trials\n1,a,m,2.0,1.0,2\n1,b,m,3.3,1.0,1\n1,c,m,4.0,0.0,1\n"
+    assert changed_rows(old, old) == []
+    assert changed_rows(old, new) == [
+        "1,b,m: mean 3.0 -> 3.3 (+1.00e-01), trials 2 -> 1",
+        "1,c,m: added, mean 4.0",
+    ]
+    assert changed_rows(new, old)[-1] == "1,c,m: removed"
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, spec in GOLDEN_SPECS.items():
-        (GOLDEN_DIR / name).write_text(run_experiment(spec).to_csv())
+        path = GOLDEN_DIR / name
+        csv_text = run_experiment(spec).to_csv()
+        old_text = path.read_text() if path.exists() else ""
+        lines = changed_rows(old_text, csv_text)
+        print(f"{name}: {len(lines)} changed row(s)")
+        for line in lines:
+            print(f"  {line}")
+        path.write_text(csv_text)

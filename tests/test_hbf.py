@@ -14,7 +14,13 @@ from nfbf.hbf import (
     hbf_wmmse,
     hbf_zf,
 )
-from nfbf.metrics import ANALOG_ONLY, HYBRID_COMPOSITE, noise_from_snr, sum_rate
+from nfbf.metrics import (
+    ANALOG_ONLY,
+    HYBRID_COMPOSITE,
+    BeamformerMatrix,
+    noise_from_snr,
+    sum_rate,
+)
 
 
 def test_steering_perfect_is_conjugate_phase():
@@ -174,16 +180,39 @@ def test_wmmse_not_worse_than_zf_at_low_snr():
     assert worse >= -1e-9
 
 
-def test_wmmse_trace_is_nondecreasing():
+@pytest.fixture(scope="module")
+def cb64():
+    return build_codebook(ArrayConfig(n_bs=64))
+
+
+def _analog_and_eff(sc, cb, sigma2, seed=0):
+    """(analog, effective channel) for perfect CSI and for swept codewords
+    with a noisy effective-channel estimate of error variance sigma2."""
+    f_p = analog_beam_steering("perfect", scenario=sc)
+    f_i = analog_beam_steering(
+        "imperfect", cb=cb, indices=[beam_sweep(cb, u.vector) for u in sc.users]
+    )
+    eff_i = effective_channel(f_i, sc, sigma_e2=sigma2, rng=np.random.default_rng(seed))
+    return [(f_p, effective_channel(f_p, sc)), (f_i, eff_i)]
+
+
+def _stopping_rule(trace, tol=1e-6):
+    return abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2]))
+
+
+def test_wmmse_trace_is_nondecreasing(cb64):
+    # converged is the stopping rule read off the last two trace values, in
+    # both CSI regimes; the imperfect one sees a noisy effective channel
+    p, sigma2 = 1.0, 0.1
     for seed in (0, 1, 2, 3, 4):
-        sc = random_scenario(ArrayConfig(n_bs=32), 4, 3, seed=seed)
-        f_ab = analog_beam_steering("perfect", scenario=sc)
-        eff = effective_channel(f_ab, sc)
-        _, rep = hbf_wmmse(f_ab, eff, 1.0, 0.1)
-        assert np.all(np.diff(rep.sumrate_trace) >= -1e-9)
-        assert rep.converged == (rep.iterations_used < 100) or (
-            rep.iterations_used == 100
-        )
+        sc = random_scenario(cb64.array, 4, 3, seed=seed)
+        for f_ab, eff in _analog_and_eff(sc, cb64, sigma2):
+            _, rep = hbf_wmmse(f_ab, eff, p, sigma2)
+            trace = rep.sumrate_trace
+            assert len(trace) == rep.iterations_used + 1
+            assert np.all(np.diff(trace) >= -1e-9)
+            assert rep.converged == _stopping_rule(trace)
+            assert rep.converged or rep.iterations_used == 100
 
 
 def test_wmmse_deterministic():
@@ -209,3 +238,139 @@ def test_hybrid_on_swept_codewords():
     hh = sc.channel_matrix()
     cross = np.abs(hh.conj().T @ hb.composite.matrix)
     assert np.max(cross - np.diag(np.diag(cross))) <= 1e-9 * np.max(cross)
+
+
+def _oracle_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
+    """WMMSE with the power step solved by bisecting mu in lstsq(A + mu B, C).
+
+    Independent reference for hbf_wmmse: every trial multiplier costs one K x K
+    least-squares solve. Returns (composite, iterations_used, converged).
+    """
+    a = np.asarray(getattr(f_ab, "matrix", f_ab))
+    kk = eff.matrix.shape[1]
+    per_user = p / kk
+    g = np.sqrt(per_user) * eff.matrix
+    b = a.conj().T @ a
+
+    def rate(v):
+        pw = per_user * np.abs(eff.matrix.conj().T @ v) ** 2
+        sig = np.diag(pw)
+        return float(np.sum(np.log2(1.0 + sig / (np.sum(pw, axis=1) - sig + sigma2))))
+
+    v = np.linalg.pinv(g.conj().T)
+    pw = np.real(np.einsum("ik,ij,jk->k", v.conj(), b, v))
+    pw[pw == 0] = 1.0
+    v = v / np.sqrt(pw)
+    trace = [rate(v)]
+    converged = False
+    it = 0
+    for it in range(1, iters + 1):
+        t = g.conj().T @ v
+        q = np.sum(np.abs(t) ** 2, axis=1) + sigma2
+        tkk = np.diag(t)
+        u = tkk.conj() / q
+        w = 1.0 / np.maximum(1.0 - np.abs(tkk) ** 2 / q, 1e-12)
+        a_mat = (g * (w * np.abs(u) ** 2)) @ g.conj().T
+        c = g * (w * u.conj())
+
+        def solve(mu):
+            return np.linalg.lstsq(a_mat + mu * b, c, rcond=None)[0]
+
+        def power(vv):
+            return float(np.real(np.einsum("ik,ij,jk->", vv.conj(), b, vv)))
+
+        v = solve(0.0)
+        if power(v) > kk:
+            lo, hi = 0.0, 1.0
+            while power(solve(hi)) > kk:
+                hi *= 2.0
+                if hi > 1e12:
+                    break
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if power(solve(mid)) > kk:
+                    lo = mid
+                else:
+                    hi = mid
+            v = solve(hi)
+        trace.append(rate(v))
+        if _stopping_rule(trace, tol):
+            converged = True
+            break
+    return _unit_columns(a, v), it, converged
+
+
+def _unit_columns(a, v):
+    """Composite a @ v with unit columns; a column of v below the normal
+    floats, a user WMMSE switched off until it underflowed, takes its analog
+    column instead."""
+    comp = a @ v
+    gone = np.all(np.abs(v) < np.finfo(float).tiny, axis=0)
+    comp[:, gone] = a[:, gone]
+    comp = comp / np.max(np.abs(comp), axis=0)  # decayed columns clear of underflow
+    return comp / np.linalg.norm(comp, axis=0)
+
+
+def _assert_matches_oracle(sc, f_ab, eff, p, sigma2):
+    hb, rep = hbf_wmmse(f_ab, eff, p, sigma2)
+    want, it, converged = _oracle_wmmse(f_ab, eff, p, sigma2)
+    got = hb.composite.matrix
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    assert sum_rate(sc, hb.composite, p, sigma2) == pytest.approx(
+        sum_rate(sc, BeamformerMatrix(want, HYBRID_COMPOSITE), p, sigma2), rel=1e-8, abs=0
+    )
+    assert (rep.iterations_used, rep.converged) == (it, converged)
+    return hb
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0])
+def test_wmmse_matches_lstsq_bisection_oracle(cb64, snr_db):
+    # 10 drops x 2 CSI regimes per SNR: 100 calls over the five SNR points
+    p, k = 1.0, 4
+    sigma2 = noise_from_snr(p, k, snr_db)
+    for seed in range(10):
+        sc = random_scenario(cb64.array, k, 3, seed=seed)
+        for f_ab, eff in _analog_and_eff(sc, cb64, sigma2, seed):
+            _assert_matches_oracle(sc, f_ab, eff, p, sigma2).composite.validate(atol=1e-9)
+
+
+def _duplicate_codeword_drops(cb, sigma_e2, seeds=range(4), snrs=(-10.0, 10.0, 30.0)):
+    """Drops whose users 0 and 1 share one swept codeword, so the analog Gram
+    B = F_AB^H F_AB is singular; without estimation noise (sigma_e2 = 0) the
+    effective channel repeats a row, so A + B is singular as well."""
+    p, k = 1.0, 4
+    for seed in seeds:
+        sc = random_scenario(cb.array, k, 3, seed=seed)
+        indices = [beam_sweep(cb, u.vector) for u in sc.users]
+        indices[1] = indices[0]
+        f_ab = analog_beam_steering("imperfect", cb=cb, indices=indices)
+        rng = np.random.default_rng(seed)
+        eff = effective_channel(f_ab, sc, sigma_e2=sigma_e2, rng=rng)
+        assert np.linalg.matrix_rank(f_ab.matrix.conj().T @ f_ab.matrix) == k - 1
+        assert (np.linalg.matrix_rank(eff.matrix) == k - 1) == (sigma_e2 == 0)
+        for snr_db in snrs:
+            yield sc, f_ab, eff, p, noise_from_snr(p, k, snr_db)
+
+
+def test_wmmse_with_singular_analog_gram_matches_oracle(cb64):
+    for drop in _duplicate_codeword_drops(cb64, sigma_e2=0.1):
+        _assert_matches_oracle(*drop).composite.validate(atol=1e-9)
+
+
+def test_wmmse_with_singular_whitening_matrix_matches_oracle(cb64):
+    # A + B is singular, so only its numerical range is whitened; here WMMSE
+    # also switches users off, and their decayed columns must still normalize
+    for drop in _duplicate_codeword_drops(cb64, sigma_e2=0.0):
+        _assert_matches_oracle(*drop).composite.validate(atol=1e-9)
+
+
+def test_wmmse_normalizes_a_switched_off_user():
+    # user 1 of this harness drop (perfect CSI, 0 dB) is switched off: its
+    # precoder column decays to ~1e-173, whose squares underflow to zero
+    cfg = ArrayConfig(n_bs=64)
+    sc = random_scenario(cfg, 4, 3, seed=1500043)
+    f_ab = analog_beam_steering("perfect", scenario=sc)
+    p, sigma2 = 1.0, noise_from_snr(1.0, 4, 0.0)
+    hb = _assert_matches_oracle(sc, f_ab, effective_channel(f_ab, sc), p, sigma2)
+    assert np.all(np.isfinite(hb.composite.matrix))
+    hb.composite.validate(atol=1e-9)
