@@ -1,17 +1,20 @@
-"""Frozen golden CSVs: seeds, draws and every scheme's numbers, byte for byte.
+"""Frozen golden files: seeds, draws and every scheme's numbers, byte for byte.
 
 Run-against-run comparisons cannot see a change that moves every run alike;
 these files can. A change that moves the numbers on purpose re-freezes them
-with `PYTHONPATH=src python tests/test_golden.py` and lists every changed row.
+with `PYTHONPATH=src python tests/test_golden.py` and lists every changed row
+or line.
 """
 
 import csv
+import difflib
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
-from nfbf.harness import SCHEMES, ExperimentSpec, run_experiment
+from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 _SMALL = dict(n_bs=16, k=3, l=2, n_dis=40, trials=2, base_seed=3)
@@ -24,11 +27,26 @@ GOLDEN_SPECS = {
     ),
 }
 
+PATTERN_GOLDEN = "beam_pattern.txt"
+PATTERN_SPEC = ExperimentSpec(experiment="beam-pattern", n_bs=16, n_dis=40)
+
+
+def pattern_digest(spec):
+    """The gain table verbatim, then the SHA-256 of the full pattern CSV
+    (43,441 lines for the default schemes, too large to freeze)."""
+    res = run_beam_pattern(spec)
+    sha = hashlib.sha256(res.to_csv().encode()).hexdigest()
+    return f"{res.gain_table()}\nto_csv sha256 {sha}\n"
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_golden_csv_is_byte_identical(name):
     want = (GOLDEN_DIR / name).read_text()
     assert run_experiment(GOLDEN_SPECS[name]).to_csv() == want
+
+
+def test_golden_beam_pattern_is_identical():
+    assert pattern_digest(PATTERN_SPEC) == (GOLDEN_DIR / PATTERN_GOLDEN).read_text()
 
 
 def _keyed_rows(text):
@@ -86,3 +104,13 @@ if __name__ == "__main__":
         for line in lines:
             print(f"  {line}")
         path.write_text(csv_text)
+    path = GOLDEN_DIR / PATTERN_GOLDEN
+    text = pattern_digest(PATTERN_SPEC)
+    old_text = path.read_text() if path.exists() else ""
+    lines = [
+        d for d in difflib.ndiff(old_text.splitlines(), text.splitlines()) if d[:2] in ("- ", "+ ")
+    ]
+    print(f"{PATTERN_GOLDEN}: {len(lines)} changed line(s)")
+    for line in lines:
+        print(f"  {line}")
+    path.write_text(text)
