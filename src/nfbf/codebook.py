@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, PolarCoord
+from .geometry import ArrayConfig, PolarCoord, steering_matrix
 
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
@@ -85,12 +85,16 @@ def grid_angle(n_bs: int, p, r_count: int = 1) -> np.ndarray:
     return np.arcsin((2.0 * p - 1.0) / (r_count * n_bs) - 1.0)
 
 
+def _ring_scale(cfg: ArrayConfig, beta: float) -> float:
+    """N^2 d^2 / (2 beta^2 wavelength), the radius of ring q = 1 at broadside."""
+    return cfg.n_bs**2 * cfg.spacing**2 / (2.0 * beta**2 * cfg.wavelength)
+
+
 def ring_radius(cfg: ArrayConfig, sin_angle, q, beta: float) -> np.ndarray:
     """Ring radius N^2 d^2 (1 - sin^2) / (2 q beta^2 wavelength)."""
     sin_angle = np.asarray(sin_angle, dtype=float)
     q = np.asarray(q, dtype=float)
-    c = cfg.n_bs**2 * cfg.spacing**2 / (2.0 * beta**2 * cfg.wavelength)
-    return c * (1.0 - sin_angle**2) / q
+    return _ring_scale(cfg, beta) * (1.0 - sin_angle**2) / q
 
 
 def build_codebook(
@@ -105,11 +109,7 @@ def build_codebook(
     angles = grid_angle(n, np.arange(1, n + 1))
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
-    g = cfg.spacing * cfg.offsets()
-    sin_a = np.sin(angles)[:, None, None]
-    r = radii[:, :, None]
-    dist = np.sqrt(r * r + g * g - 2.0 * g * r * sin_a)
-    codewords = np.exp(-2j * np.pi * dist / cfg.wavelength) / np.sqrt(n)
+    codewords = steering_matrix(cfg, angles[:, None], radii)
     return PolarCodebook(
         array=cfg, n_dis=n_dis, beta=beta, angles=angles, radii=radii, codewords=codewords
     )
@@ -169,8 +169,7 @@ def auxiliary_points(
     s = np.arange(1, s_count + 1, dtype=float)
     v = (a_here + a_inner) / 2.0 + (a_outer - a_inner) * (2.0 * s - 1.0) / (4.0 * s_count)
 
-    c = cb.array.n_bs**2 * cb.array.spacing**2 / (2.0 * cb.beta**2 * cb.array.wavelength)
-    radii = c * (1.0 - sin_a[:, None] ** 2) * v[None, :]
+    radii = _ring_scale(cb.array, cb.beta) * (1.0 - sin_a[:, None] ** 2) * v[None, :]
     return AuxiliaryGrid(angles=ang, radii=radii, r_count=r_count, s_count=s_count)
 
 
@@ -186,15 +185,10 @@ def approximate_channel_matrices(
     if not grids:
         raise ValueError("grids must be nonempty")
     cfg = cb.array
-    g = cfg.spacing * cfg.offsets()
-    out = []
-    for grid in grids:
-        sin_a = np.sin(grid.angles)[:, None, None]
-        r = grid.radii[:, :, None]
-        dist = np.sqrt(r * r + g * g - 2.0 * g * r * sin_a)
-        u = np.exp(-2j * np.pi * dist / cfg.wavelength) / np.sqrt(cfg.n_bs)
-        out.append(u.reshape(-1, cfg.n_bs))
-    return out
+    return [
+        steering_matrix(cfg, grid.angles[:, None], grid.radii).reshape(-1, cfg.n_bs)
+        for grid in grids
+    ]
 
 
 def export_codebook_csv(cb: PolarCodebook, path: str) -> None:

@@ -72,13 +72,16 @@ def cartesian_to_polar(c: CartesianCoord) -> PolarCoord:
     return PolarCoord(np.arctan2(c.x, c.y), float(np.hypot(c.x, c.y)))
 
 
-def element_distances(cfg: ArrayConfig, angle: float, radius: float) -> np.ndarray:
-    """Distances from a source at (angle, radius) to every array element.
+def element_distances(cfg: ArrayConfig, angle, radius) -> np.ndarray:
+    """Distances from sources at (angle, radius) to every array element.
 
-    Entry n-1 holds sqrt(radius^2 + d^2 gamma_n^2 - 2 d gamma_n radius sin(angle)).
+    angle and radius broadcast; entry [..., n-1] of the broadcast shape + (N,)
+    result is sqrt(radius^2 + d^2 gamma_n^2 - 2 d gamma_n radius sin(angle)).
     """
     g = cfg.spacing * cfg.offsets()
-    return np.sqrt(radius * radius + g * g - 2.0 * g * radius * np.sin(angle))
+    r = np.asarray(radius, dtype=float)[..., None]
+    sin_a = np.sin(np.asarray(angle, dtype=float))[..., None]
+    return np.sqrt(r * r + g * g - 2.0 * g * r * sin_a)
 
 
 def element_distance(cfg: ArrayConfig, p: PolarCoord, n: int) -> float:
@@ -88,14 +91,22 @@ def element_distance(cfg: ArrayConfig, p: PolarCoord, n: int) -> float:
     return float(element_distances(cfg, p.angle, p.radius)[n - 1])
 
 
-def nearfield_steering(cfg: ArrayConfig, p: PolarCoord) -> np.ndarray:
-    """Spherical-wave steering vector for a source at p.
+def steering_matrix(cfg: ArrayConfig, angles, radii) -> np.ndarray:
+    """Spherical-wave steering vectors for sources at (angles, radii).
 
-    Entry n = (1/sqrt(N)) exp(-j 2 pi dist_n / wavelength); unit norm with
-    constant entry modulus 1/sqrt(N).
+    Codewords, auxiliary stacks and beam patterns all come from this formula.
+    angles and radii broadcast; entry [..., n-1] of the broadcast shape + (N,)
+    result is (1/sqrt(N)) exp(-j 2 pi dist_n / wavelength): unit norm, constant
+    entry modulus 1/sqrt(N).
     """
-    d = element_distances(cfg, p.angle, p.radius)
-    return np.exp(-2j * np.pi * d / cfg.wavelength) / np.sqrt(cfg.n_bs)
+    # no name holds the real distances, so they are freed before exp allocates
+    phase = -2j * np.pi * element_distances(cfg, angles, radii) / cfg.wavelength
+    return np.exp(phase) / np.sqrt(cfg.n_bs)
+
+
+def nearfield_steering(cfg: ArrayConfig, p: PolarCoord) -> np.ndarray:
+    """Spherical-wave steering vector for a source at p, shape (N,)."""
+    return steering_matrix(cfg, p.angle, p.radius)
 
 
 def farfield_steering(cfg: ArrayConfig, angle: float) -> np.ndarray:

@@ -11,15 +11,22 @@ configuration allows it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import PathComponent, Scenario, make_user_channel, random_scenario
+from .channel import (
+    DEFAULT_RHO_MIN_WAVELENGTHS,
+    PathComponent,
+    Scenario,
+    make_user_channel,
+    random_scenario,
+)
 from .codebook import PolarCodebook, beam_sweep, build_codebook
-from .geometry import ArrayConfig, PolarCoord
+from .geometry import ArrayConfig, PolarCoord, rayleigh_distance
 from .hbf import (
     SingularEffectiveChannelError,
     analog_beam_steering,
@@ -181,6 +188,20 @@ def _needs_codebook(schemes) -> bool:
     return any(s.endswith("-imperfect") for s in schemes)
 
 
+def _per_trial(method):
+    """Cache a _TrialState method's result, keyed on its name and arguments,
+    so a key holds exactly what the cached design depends on."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+
+    return cached
+
+
 class _TrialState:
     """Per-trial artifacts reusable across the sweep values that keep the array and K."""
 
@@ -191,67 +212,47 @@ class _TrialState:
         self.seed = scenario.seed
         self._cache: dict = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
+    @_per_trial
     def indices(self):
-        return self._get(
-            "indices",
-            lambda: [beam_sweep(self.cb, u.vector) for u in self.scenario.users],
-        )
+        return [beam_sweep(self.cb, u.vector) for u in self.scenario.users]
 
+    @_per_trial
     def steering(self, csi: str):
         if csi == "perfect":
-            return self._get(
-                "steer-p", lambda: analog_beam_steering("perfect", scenario=self.scenario)
-            )
-        return self._get(
-            "steer-i",
-            lambda: analog_beam_steering("imperfect", cb=self.cb, indices=self.indices()),
-        )
+            return analog_beam_steering("perfect", scenario=self.scenario)
+        return analog_beam_steering("imperfect", cb=self.cb, indices=self.indices())
 
-    def analog(self, scheme: str, aux: tuple[int, int]):
-        """Analog-only beamformer; aux = (R, S) sizes the aobf-imperfect grid."""
-        if scheme == "aobf-perfect":
-            return self._get("aobf-p", lambda: aobf_perfect_csi(self.scenario, self.spec.mm)[0])
-        if scheme == "aobf-imperfect":
-            return self._get(
-                ("aobf-i", aux),
-                lambda: aobf_imperfect_csi(self.cb, self.indices(), *aux, self.spec.mm)[0],
-            )
-        if scheme in ("steer-perfect", "steer-imperfect"):
-            return self.steering(scheme.removeprefix("steer-"))
-        raise ValueError(scheme)
-
-    def eff(self, csi: str, sigma2: float):
-        """Effective channel for the hybrid schemes of one CSI regime."""
-        f_ab = self.steering(csi)
+    @_per_trial
+    def aobf(self, csi: str, aux: tuple[int, int]):
+        """Analog-only MM design; aux = (R, S) sizes the imperfect-CSI grid."""
         if csi == "perfect":
-            return self._get("eff-p", lambda: effective_channel(f_ab, self.scenario))
-        sigma_e2 = self.spec.pilot_noise_factor * sigma2
-        if sigma_e2 == 0:
-            return self._get("eff-i0", lambda: effective_channel(f_ab, self.scenario))
-        return self._get(
-            ("eff-i", sigma2),
-            lambda: effective_channel(
-                f_ab, self.scenario, sigma_e2=sigma_e2, rng=_est_rng(self.seed)
-            ),
-        )
+            return aobf_perfect_csi(self.scenario, self.spec.mm)[0]
+        return aobf_imperfect_csi(self.cb, self.indices(), *aux, self.spec.mm)[0]
+
+    @_per_trial
+    def eff(self, csi: str, sigma_e2: float):
+        """Effective channel of one CSI regime with pilot-noise power sigma_e2."""
+        return effective_channel(self.steering(csi), self.scenario, sigma_e2, _est_rng(self.seed))
+
+    @_per_trial
+    def zf(self, csi: str, sigma_e2: float):
+        return hbf_zf(self.steering(csi), self.eff(csi, sigma_e2))
+
+    @_per_trial
+    def wmmse(self, csi: str, sigma_e2: float, sigma2: float):
+        return hbf_wmmse(self.steering(csi), self.eff(csi, sigma_e2), self.spec.p, sigma2)[0]
 
     def beamformer(self, scheme: str, sigma2: float, aux: tuple[int, int]):
         """Beamformer matrix for metrics; may raise SingularEffectiveChannelError."""
-        if scheme in ANALOG_SCHEMES:
-            return self.analog(scheme, aux)
-        csi = "perfect" if scheme.endswith("-perfect") else "imperfect"
-        f_ab = self.steering(csi)
-        eff = self.eff(csi, sigma2)
-        if scheme.startswith("hbf-zf"):
-            key = ("zf", csi, sigma2 if csi == "imperfect" else None)
-            return self._get(key, lambda: hbf_zf(f_ab, eff)).composite
-        key = ("wmmse", csi, sigma2)
-        return self._get(key, lambda: hbf_wmmse(f_ab, eff, self.spec.p, sigma2)[0]).composite
+        kind, csi = scheme.rsplit("-", 1)
+        if kind == "steer":
+            return self.steering(csi)
+        if kind == "aobf":
+            return self.aobf(csi, aux)
+        sigma_e2 = self.spec.pilot_noise_factor * sigma2 if csi == "imperfect" else 0.0
+        if kind == "hbf-zf":
+            return self.zf(csi, sigma_e2).composite
+        return self.wmmse(csi, sigma_e2, sigma2).composite
 
     def rate(self, scheme: str, sigma2: float, aux: tuple[int, int]) -> float:
         try:
@@ -397,9 +398,6 @@ def pattern_scenario(spec: ExperimentSpec) -> Scenario:
             users.append(make_user_channel(cfg, [PathComponent(1.0 + 0j, loc)]))
     else:
         rng = np.random.default_rng(spec.base_seed)
-        from .channel import DEFAULT_RHO_MIN_WAVELENGTHS
-        from .geometry import rayleigh_distance
-
         d_r = rayleigh_distance(cfg)
         for loc in locs:
             g0 = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)

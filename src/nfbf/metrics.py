@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, PolarCoord, nearfield_steering
+from .geometry import ArrayConfig, PolarCoord, nearfield_steering, steering_matrix
 
 ANALOG_ONLY = "analog-only"
 HYBRID_COMPOSITE = "hybrid-composite"
@@ -114,19 +114,8 @@ def beam_pattern_grid(cfg, f_column, angle_grid, radius_grid) -> np.ndarray:
     radius_grid = np.asarray(radius_grid, dtype=float)
     if angle_grid.size == 0 or radius_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    f = np.asarray(f_column)
-    g = cfg.spacing * cfg.offsets()
-    out = np.empty((angle_grid.size, radius_grid.size))
-    for i, a in enumerate(angle_grid):
-        # distances to all elements for every radius at this angle, vectorized
-        dist = np.sqrt(
-            radius_grid[:, None] ** 2
-            + g[None, :] ** 2
-            - 2.0 * g[None, :] * radius_grid[:, None] * np.sin(a)
-        )
-        u = np.exp(-2j * np.pi * dist / cfg.wavelength) / np.sqrt(cfg.n_bs)
-        out[i, :] = np.abs(u.conj() @ f) ** 2
-    return out
+    u = steering_matrix(cfg, angle_grid[:, None], radius_grid)  # (A, R, N)
+    return np.abs(u.conj() @ np.asarray(f_column)) ** 2
 
 
 def total_power(model: PowerModel, n_bs: int, n_rf: int) -> float:

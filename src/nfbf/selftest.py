@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import random_scenario, scenario_from_json, scenario_to_json
-from .codebook import CodewordIndex, beam_sweep, build_codebook
+from .codebook import CodewordIndex, auxiliary_points, beam_sweep, build_codebook
 from .geometry import (
     ArrayConfig,
     CartesianCoord,
@@ -105,8 +105,6 @@ def _check_codebook_self_selection(rng) -> str:
 
 
 def _check_aux_intervals(rng) -> str:
-    from .codebook import auxiliary_points
-
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=8, beta=1.6)
     c_of = cfg.n_bs**2 * cfg.spacing**2 / (2.0 * cb.beta**2 * cfg.wavelength)

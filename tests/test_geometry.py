@@ -12,6 +12,7 @@ from nfbf.geometry import (
     nearfield_steering,
     polar_to_cartesian,
     rayleigh_distance,
+    steering_matrix,
 )
 
 
@@ -116,6 +117,44 @@ def test_element_distance_cartesian_oracle():
         g = cfg.spacing * cfg.offsets()[n - 1]
         want = np.hypot(c.x - g, c.y)
         assert abs(element_distance(cfg, p, n) - want) <= 1e-12 * want
+
+
+def test_steering_matrix_matches_cartesian_oracle():
+    # the oracle builds each vector from Cartesian distances (np.hypot), not
+    # from the law of cosines steering_matrix uses
+    rng = np.random.default_rng(17)
+    for cfg in (
+        ArrayConfig(n_bs=8),
+        ArrayConfig(n_bs=16, wavelength=0.01),
+        ArrayConfig(n_bs=9, spacing=0.7),
+    ):
+        lam = cfg.wavelength
+        x_n = cfg.spacing * cfg.offsets()
+
+        def angles(*shape):
+            return rng.uniform(-1.5, 1.5, shape)
+
+        def radii(*shape):
+            return rng.uniform(1.0, 300.0, shape) * lam
+
+        cases = [
+            (float(angles()), float(radii())),
+            (angles(4, 1), radii(4, 5)),
+            (angles(6, 1), radii(1, 3)),
+        ]
+        for a, r in cases:
+            u = steering_matrix(cfg, a, r)
+            shape = np.broadcast_shapes(np.shape(a), np.shape(r))
+            assert u.shape == shape + (cfg.n_bs,)
+            a_b, r_b = np.broadcast_arrays(a, r)
+            for idx in np.ndindex(shape):
+                p = PolarCoord(float(a_b[idx]), float(r_b[idx]))
+                c = polar_to_cartesian(p)
+                want = np.exp(-2j * np.pi * np.hypot(c.x - x_n, c.y) / lam) / np.sqrt(cfg.n_bs)
+                assert np.max(np.abs(u[idx] - want)) <= 1e-12
+                assert np.array_equal(
+                    nearfield_steering(cfg, p), steering_matrix(cfg, p.angle, p.radius)
+                )
 
 
 def test_element_distance_index_bounds():

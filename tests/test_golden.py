@@ -107,9 +107,8 @@ if __name__ == "__main__":
     path = GOLDEN_DIR / PATTERN_GOLDEN
     text = pattern_digest(PATTERN_SPEC)
     old_text = path.read_text() if path.exists() else ""
-    lines = [
-        d for d in difflib.ndiff(old_text.splitlines(), text.splitlines()) if d[:2] in ("- ", "+ ")
-    ]
+    diff = difflib.ndiff(old_text.splitlines(), text.splitlines())
+    lines = [d for d in diff if d[:2] in ("- ", "+ ")]
     print(f"{PATTERN_GOLDEN}: {len(lines)} changed line(s)")
     for line in lines:
         print(f"  {line}")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import nfbf.harness
 from nfbf.channel import random_scenario
 from nfbf.harness import (
     CSV_HEADER,
@@ -365,3 +366,26 @@ def test_imperfect_pilot_noise_changes_hybrid_only_with_factor():
         dataclasses.replace(spec_a, pilot_noise_factor=0.0)
     ).value(0.0, "steer-imperfect", "sum_rate")
     assert a1.mean == a2.mean
+
+
+def test_zero_pilot_noise_solves_zero_forcing_once_per_regime(monkeypatch):
+    # with pilot_noise_factor = 0 neither regime's effective channel depends on
+    # the SNR, so each regime's ZF design is solved once per trial, not per SNR
+    calls = {"hbf_zf": 0, "effective_channel": 0}
+    for name in calls:
+        real = getattr(nfbf.harness, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(nfbf.harness, name, counted)
+    spec = _tiny_spec(
+        schemes=("hbf-zf-perfect", "hbf-zf-imperfect"),
+        trials=2,
+        sweep=(0.0, 10.0, 20.0),
+        pilot_noise_factor=0.0,
+    )
+    table = run_experiment(spec)
+    assert all(r.trials == spec.trials for r in table.rows)
+    assert calls == {"hbf_zf": 2 * spec.trials, "effective_channel": 2 * spec.trials}
