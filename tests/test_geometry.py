@@ -130,17 +130,10 @@ def test_steering_matrix_matches_cartesian_oracle():
     ):
         lam = cfg.wavelength
         x_n = cfg.spacing * cfg.offsets()
-
-        def angles(*shape):
-            return rng.uniform(-1.5, 1.5, shape)
-
-        def radii(*shape):
-            return rng.uniform(1.0, 300.0, shape) * lam
-
-        cases = [
-            (float(angles()), float(radii())),
-            (angles(4, 1), radii(4, 5)),
-            (angles(6, 1), radii(1, 3)),
+        cases = [  # scalar, (P, 1) x (P, Q) as in the codebook, (A, 1) x (1, R) as in patterns
+            (float(rng.uniform(-1.5, 1.5)), float(rng.uniform(1.0, 300.0)) * lam),
+            (rng.uniform(-1.5, 1.5, (4, 1)), rng.uniform(1.0, 300.0, (4, 5)) * lam),
+            (rng.uniform(-1.5, 1.5, (6, 1)), rng.uniform(1.0, 300.0, (1, 3)) * lam),
         ]
         for a, r in cases:
             u = steering_matrix(cfg, a, r)
