@@ -25,6 +25,16 @@ GOLDEN_SPECS = {
     "aux_sweep.csv": ExperimentSpec(
         experiment="aux-sweep", schemes=("aobf-imperfect",), sweep=(1, 2), **_SMALL
     ),
+    "sumrate_vs_nbs.csv": ExperimentSpec(
+        experiment="sumrate-vs-nbs", schemes=SCHEMES, sweep=(8, 16), **_SMALL
+    ),
+    "sumrate_vs_k.csv": ExperimentSpec(
+        experiment="sumrate-vs-k", schemes=SCHEMES, sweep=(1, 2, 3), **_SMALL
+    ),
+    # the int 0 pins how an int sweep value prints
+    "ee_vs_snr.csv": ExperimentSpec(
+        experiment="ee-vs-snr", schemes=SCHEMES, sweep=(0, 10.0), **_SMALL
+    ),
 }
 
 PATTERN_GOLDEN = "beam_pattern.txt"
