@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from .codebook import build_codebook, export_codebook_csv
 from .harness import (
+    SWEEP_AXES,
     ExperimentSpec,
     run_beam_pattern,
     run_experiment,
@@ -26,7 +27,8 @@ from .harness import (
 )
 from .selftest import run_selftest
 
-_SNR_EXPERIMENTS = ("sumrate-vs-snr", "ee-vs-snr")
+# each list flag and the spec field it sets; the flag's argparse dest is the field
+_LIST_FLAGS = (("--snr-db", "snr_db"), ("--nbs", "n_bs"), ("--k", "k"))
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -56,27 +58,16 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
         spec = replace(spec, base_seed=args.seed)
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
-    if getattr(args, "snr_db", None) is not None:
-        if spec.experiment in _SNR_EXPERIMENTS:
-            spec = replace(spec, sweep=args.snr_db)
-        elif len(args.snr_db) == 1:
-            spec = replace(spec, snr_db=args.snr_db[0])
+    for flag, name in _LIST_FLAGS:
+        values = getattr(args, name, None)
+        if values is None:
+            continue
+        if name in SWEEP_AXES[spec.experiment].fields:
+            spec = replace(spec, sweep=values)
+        elif len(values) == 1:
+            spec = replace(spec, **{name: values[0]})
         else:
-            raise ValueError("--snr-db takes one value unless the experiment sweeps SNR")
-    if getattr(args, "nbs", None) is not None:
-        if spec.experiment == "sumrate-vs-nbs":
-            spec = replace(spec, sweep=args.nbs)
-        elif len(args.nbs) == 1:
-            spec = replace(spec, n_bs=args.nbs[0])
-        else:
-            raise ValueError("--nbs takes one value unless the experiment sweeps N_BS")
-    if getattr(args, "k", None) is not None:
-        if spec.experiment == "sumrate-vs-k":
-            spec = replace(spec, sweep=args.k)
-        elif len(args.k) == 1:
-            spec = replace(spec, k=args.k[0])
-        else:
-            raise ValueError("--k takes one value unless the experiment sweeps K")
+            raise ValueError(f"{flag} takes one value unless {spec.experiment} sweeps {name}")
     return spec
 
 
@@ -137,7 +128,7 @@ def _add_common(sp, *names) -> None:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if "lists" in names:
         sp.add_argument("--snr-db", type=_float_list, help="comma-separated SNR values (dB)")
-        sp.add_argument("--nbs", type=_int_list, help="comma-separated antenna counts")
+        sp.add_argument("--nbs", dest="n_bs", type=_int_list, help="comma-separated antenna counts")
         sp.add_argument("--k", type=_int_list, help="comma-separated user counts")
 
 

@@ -10,11 +10,13 @@ configuration allows it.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
 import json
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,18 +59,24 @@ SCHEMES = (
 ANALOG_SCHEMES = frozenset(
     {"aobf-perfect", "aobf-imperfect", "steer-perfect", "steer-imperfect"}
 )
-EXPERIMENTS = (
-    "sumrate-vs-snr",
-    "sumrate-vs-nbs",
-    "sumrate-vs-k",
-    "ee-vs-snr",
-    "beam-pattern",
-    "aux-sweep",
-)
 DEFAULT_SNR_SWEEP = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 DEFAULT_NBS_SWEEP = (16, 32, 64)
 DEFAULT_K_SWEEP = (1, 2, 4, 8)
 DEFAULT_AUX_SWEEP = (1, 2, 4, 6)
+
+# The one map from experiment to the ExperimentSpec fields one sweep value
+# sets, the cast the value gets there and the default sweep values. The cast
+# is explicit: a JSON "snr_db": 20 must not make a 2.5 dB sweep point an int.
+SweepAxis = collections.namedtuple("SweepAxis", "fields cast default")
+SWEEP_AXES = {
+    "sumrate-vs-snr": SweepAxis(("snr_db",), float, DEFAULT_SNR_SWEEP),
+    "sumrate-vs-nbs": SweepAxis(("n_bs",), int, DEFAULT_NBS_SWEEP),
+    "sumrate-vs-k": SweepAxis(("k",), int, DEFAULT_K_SWEEP),
+    "ee-vs-snr": SweepAxis(("snr_db",), float, DEFAULT_SNR_SWEEP),
+    "beam-pattern": SweepAxis((), None, ()),
+    "aux-sweep": SweepAxis(("r_count", "s_count"), int, DEFAULT_AUX_SWEEP),
+}
+EXPERIMENTS = tuple(SWEEP_AXES)
 DEFAULT_PATTERN_LOCATIONS = ((-23.57, 50.0), (17.46, 150.0), (-64.16, 100.0))
 _EST_STREAM = 0x5EED  # fixed offset stream for estimation-noise draws
 CSV_HEADER = ("sweep", "scheme", "metric", "mean", "stderr", "trials")
@@ -113,25 +121,19 @@ class ExperimentSpec:
         if self.k < 1 or self.l < 1:
             raise ValueError("k and l must be >= 1")
 
-    def array_config(self, n_bs: int | None = None) -> ArrayConfig:
-        return ArrayConfig(
-            n_bs=self.n_bs if n_bs is None else n_bs,
-            wavelength=self.wavelength,
-            spacing=self.spacing,
-        )
+    def array_config(self) -> ArrayConfig:
+        return ArrayConfig(n_bs=self.n_bs, wavelength=self.wavelength, spacing=self.spacing)
 
 
 def resolved_sweep(spec: ExperimentSpec) -> tuple:
     """The sweep values actually used (spec.sweep or the experiment default)."""
-    if spec.sweep:
-        return tuple(spec.sweep)
-    return {
-        "sumrate-vs-snr": DEFAULT_SNR_SWEEP,
-        "ee-vs-snr": DEFAULT_SNR_SWEEP,
-        "sumrate-vs-nbs": DEFAULT_NBS_SWEEP,
-        "sumrate-vs-k": DEFAULT_K_SWEEP,
-        "aux-sweep": DEFAULT_AUX_SWEEP,
-    }.get(spec.experiment, ())
+    return tuple(spec.sweep) or SWEEP_AXES[spec.experiment].default
+
+
+def value_spec(spec: ExperimentSpec, v) -> ExperimentSpec:
+    """The spec one sweep value runs: every field the experiment sweeps set to v."""
+    axis = SWEEP_AXES[spec.experiment]
+    return replace(spec, **{name: axis.cast(v) for name in axis.fields})
 
 
 @dataclass(frozen=True)
@@ -157,20 +159,7 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "sweep": r.sweep,
-                    "scheme": r.scheme,
-                    "metric": r.metric,
-                    "mean": r.mean,
-                    "stderr": r.stderr,
-                    "trials": r.trials,
-                }
-                for r in self.rows
-            ],
-            indent=2,
-        )
+        return json.dumps([asdict(r) for r in self.rows], indent=2)
 
     def value(self, sweep, scheme: str, metric: str) -> ResultRow:
         for r in self.rows:
@@ -190,13 +179,19 @@ def _needs_codebook(schemes) -> bool:
 
 def _per_trial(method):
     """Cache a _TrialState method's result, keyed on its name and arguments,
-    so a key holds exactly what the cached design depends on."""
+    so a key holds exactly what the cached design depends on. A singular
+    effective channel is cached too and raised again on every hit."""
 
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
         if key not in self._cache:
-            self._cache[key] = method(self, *args)
+            try:
+                self._cache[key] = method(self, *args)
+            except SingularEffectiveChannelError as exc:
+                self._cache[key] = exc
+        if isinstance(self._cache[key], SingularEffectiveChannelError):
+            raise self._cache[key]
         return self._cache[key]
 
     return cached
@@ -291,54 +286,42 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     if not sweep:
         raise ValueError("sweep values must be nonempty")
 
-    # one (value, array, K, (R, S), noise power) entry per sweep value
-    aux = (spec.r_count, spec.s_count)
-    sigma2 = noise_from_snr(spec.p, spec.k, spec.snr_db)
-    if spec.experiment in ("sumrate-vs-snr", "ee-vs-snr"):
-        per_value = [
-            (v, spec.array_config(), spec.k, aux, noise_from_snr(spec.p, spec.k, v))
-            for v in sweep
-        ]
-    elif spec.experiment == "sumrate-vs-nbs":
-        per_value = [(v, spec.array_config(int(v)), spec.k, aux, sigma2) for v in sweep]
-    elif spec.experiment == "sumrate-vs-k":
-        per_value = [
-            (v, spec.array_config(), int(v), aux, noise_from_snr(spec.p, int(v), spec.snr_db))
-            for v in sweep
-        ]
-    else:  # aux-sweep
-        per_value = [(v, spec.array_config(), spec.k, (int(v), int(v)), sigma2) for v in sweep]
+    # one (value, that value's spec, noise power) entry per sweep value
+    per_value = []
+    for v in sweep:
+        vs = value_spec(spec, v)
+        per_value.append((v, vs, noise_from_snr(vs.p, vs.k, vs.snr_db)))
 
     codebooks: dict[int, PolarCodebook] = {}
     if _needs_codebook(spec.schemes):
-        for _, cfg, _, _, _ in per_value:
-            if cfg.n_bs not in codebooks:
-                codebooks[cfg.n_bs] = build_codebook(cfg, spec.n_dis, spec.beta)
+        for _, vs, _ in per_value:
+            if vs.n_bs not in codebooks:
+                codebooks[vs.n_bs] = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
 
     def run_trial(trial: int) -> dict:
         # sweep values that keep the array and K share one scenario draw and sweep
         seed = spec.base_seed + trial
         states: dict = {}
         out = {}
-        for v, cfg, k, rs, s2 in per_value:
-            if (cfg, k) not in states:
-                states[(cfg, k)] = _TrialState(
-                    spec, random_scenario(cfg, k, spec.l, seed), codebooks.get(cfg.n_bs)
-                )
+        for v, vs, sigma2 in per_value:
+            key = (vs.n_bs, vs.k)
+            if key not in states:
+                scenario = random_scenario(vs.array_config(), vs.k, spec.l, seed)
+                states[key] = _TrialState(spec, scenario, codebooks.get(vs.n_bs))
             for scheme in spec.schemes:
-                out[(v, scheme)] = states[(cfg, k)].rate(scheme, s2, rs)
+                out[(v, scheme)] = states[key].rate(scheme, sigma2, (vs.r_count, vs.s_count))
         return out
 
     per_trial = [run_trial(t) for t in range(spec.trials)]
 
     rows: list[ResultRow] = []
-    for v, cfg, k, _, _ in per_value:
+    for v, vs, _ in per_value:
         for scheme in spec.schemes:
             rates = np.array([per_trial[t][(v, scheme)] for t in range(spec.trials)])
             mean, stderr, n = _aggregate(rates)
             rows.append(ResultRow(v, scheme, "sum_rate", mean, stderr, n))
             if spec.experiment == "ee-vs-snr":
-                p_tot = total_power(scheme_power_model(spec, scheme), cfg.n_bs, k)
+                p_tot = total_power(scheme_power_model(spec, scheme), vs.n_bs, vs.k)
                 ee = rates / p_tot
                 mean, stderr, n = _aggregate(ee)
                 rows.append(ResultRow(v, scheme, "energy_efficiency", mean, stderr, n))
@@ -454,31 +437,43 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     )
 
 
-_MM_KEYS = {"omega", "epsilon", "t_max", "mu_mode"}
-_POWER_KEYS = {"p_tx", "p_rf", "p_ps", "p_bb", "includes_baseband"}
+# The JSON values each field type accepts, and their name; a bool is no number
+_JSON_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    tuple: (list, "a list"),
+}
+
+
+def _json_kwargs(cls, doc, what: str) -> dict:
+    """doc as keyword arguments for the dataclass cls. A document that is not
+    an object, a key cls has no field for, or a value of the wrong JSON type
+    for its field is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for name, value in doc.items():
+        hint = typing.get_origin(hints[name]) or hints[name]
+        if hint not in _JSON_TYPES:
+            continue
+        want, label = _JSON_TYPES[hint]
+        if not isinstance(value, want) or isinstance(value, bool) != (hint is bool):
+            raise ValueError(f"{what} key {name!r} must be {label}, got {value!r}")
+    return dict(doc)
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON config document (fail-fast)."""
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    allowed = {f.name for f in fields(ExperimentSpec)}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
+    kwargs = _json_kwargs(ExperimentSpec, doc, "config")
     if "mm" in kwargs:
-        mm_doc = kwargs["mm"]
-        bad = set(mm_doc) - _MM_KEYS
-        if bad:
-            raise ValueError(f"unknown mm keys: {sorted(bad)}")
-        kwargs["mm"] = MMConfig(**mm_doc)
+        kwargs["mm"] = MMConfig(**_json_kwargs(MMConfig, kwargs["mm"], "mm"))
     if "power" in kwargs:
-        p_doc = kwargs["power"]
-        bad = set(p_doc) - _POWER_KEYS
-        if bad:
-            raise ValueError(f"unknown power keys: {sorted(bad)}")
-        kwargs["power"] = PowerModel(**p_doc)
+        kwargs["power"] = PowerModel(**_json_kwargs(PowerModel, kwargs["power"], "power"))
     for key in ("schemes", "sweep"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])

@@ -98,14 +98,21 @@ def test_scalar_override_errors_on_lists(tmp_path):
     assert "error:" in err2
 
 
-def test_sweep_experiment_accepts_list_override(tmp_path):
-    cfg = _write_config(
-        tmp_path, experiment="sumrate-vs-nbs", schemes=["steer-perfect"], sweep=[16]
-    )
-    code, out, _ = _run(["run", "--config", cfg, "--nbs", "8,16"])
+@pytest.mark.parametrize(
+    "experiment, flag, values",
+    [
+        pytest.param("sumrate-vs-snr", "--snr-db", ("0.0", "10.0"), id="snr-db"),
+        pytest.param("ee-vs-snr", "--snr-db", ("0.0", "10.0"), id="ee-snr-db"),
+        pytest.param("sumrate-vs-nbs", "--nbs", ("8", "16"), id="nbs"),
+        pytest.param("sumrate-vs-k", "--k", ("1", "2"), id="k"),
+    ],
+)
+def test_sweep_experiment_accepts_list_override(tmp_path, experiment, flag, values):
+    cfg = _write_config(tmp_path, experiment=experiment, schemes=["steer-perfect"], sweep=[3])
+    code, out, _ = _run(["run", "--config", cfg, flag, ",".join(values)])
     assert code == 0
-    lines = out.splitlines()
-    assert lines[1].startswith("8,") and lines[2].startswith("16,")
+    sweeps = [line.split(",")[0] for line in out.splitlines() if ",sum_rate," in line]
+    assert sweeps == list(values)
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -120,6 +127,11 @@ def test_malformed_config_exits_2(tmp_path):
     missing = tmp_path / "does-not-exist.json"
     code3, _, err3 = _run(["run", "--config", str(missing)])
     assert code3 == 2 and "error:" in err3
+    for doc in ({"mm": 5}, {"trials": "5"}, {"schemes": 5}):
+        wrong = tmp_path / "wrong.json"
+        wrong.write_text(json.dumps(dict(experiment="sumrate-vs-snr", **doc)))
+        code4, _, err4 = _run(["run", "--config", str(wrong)])
+        assert code4 == 2 and "error:" in err4, doc
 
 
 def test_codebook_export(tmp_path):

@@ -56,7 +56,6 @@ def test_spec_validation():
         _tiny_spec(k=0)
     spec = _tiny_spec()
     assert spec.array_config().n_bs == 16
-    assert spec.array_config(32).n_bs == 32
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.trials = 5
 
@@ -177,6 +176,52 @@ def test_nbs_and_k_sweeps_change_the_draw():
     assert table_k.value(2, "steer-perfect", "sum_rate").trials == 2
 
 
+def _cells(rows):
+    return [(r.scheme, r.metric, r.mean, r.stderr, r.trials) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep, by_hand",
+    [
+        ("sumrate-vs-nbs", (8, 16), lambda v: dict(n_bs=v)),
+        ("sumrate-vs-k", (1, 2), lambda v: dict(k=v)),
+        ("aux-sweep", (1, 2), lambda v: dict(r_count=v, s_count=v)),
+        ("ee-vs-snr", (0, 10.0), lambda v: dict(snr_db=float(v))),
+    ],
+)
+def test_each_sweep_value_equals_a_one_point_run_with_its_field_set(experiment, sweep, by_hand):
+    # a sweep value runs exactly the spec with that value's field set by hand,
+    # run as a one-point SNR sweep at the spec's own SNR (an EE sweep for EE)
+    schemes = ("aobf-imperfect",) if experiment == "aux-sweep" else SCHEMES
+    spec = _tiny_spec(
+        experiment=experiment, schemes=schemes, trials=2, sweep=sweep, r_count=2, s_count=2
+    )
+    table = run_experiment(spec)
+    one_point = "ee-vs-snr" if experiment == "ee-vs-snr" else "sumrate-vs-snr"
+    for v in sweep:
+        manual = dataclasses.replace(spec, experiment=one_point, **by_hand(v))
+        want = run_experiment(dataclasses.replace(manual, sweep=(manual.snr_db,)))
+        got = [row for row in table.rows if row.sweep == v]
+        assert [r.sweep for r in got] == [v] * len(want.rows)
+        assert _cells(got) == _cells(want.rows)
+
+
+def test_int_snr_in_config_does_not_truncate_a_fractional_sweep_point():
+    doc = dict(
+        experiment="sumrate-vs-snr",
+        schemes=["steer-perfect", "hbf-zf-perfect"],
+        trials=2,
+        sweep=[2.5],
+        n_bs=16,
+        k=2,
+        l=2,
+        n_dis=10,
+    )
+    as_int = run_experiment(spec_from_dict(dict(doc, snr_db=20))).to_csv()
+    assert as_int == run_experiment(spec_from_dict(dict(doc, snr_db=20.0))).to_csv()
+    assert as_int != run_experiment(spec_from_dict(dict(doc, sweep=[2]))).to_csv()
+
+
 def test_aux_sweep_restricted_to_aobf_imperfect():
     with pytest.raises(ValueError):
         run_experiment(
@@ -220,6 +265,31 @@ def test_singular_zero_forcing_becomes_nan_policy():
     assert zf.trials == 0
     assert np.isnan(zf.mean) and np.isnan(zf.stderr)
     assert st.trials == 2 and np.isfinite(st.mean)
+
+
+def test_singular_zero_forcing_is_attempted_once_per_trial(monkeypatch):
+    # a design that raised is cached like one that returned: perfect-CSI ZF
+    # does not depend on the SNR, so one failed attempt decides every SNR cell
+    calls = []
+    real = nfbf.harness.hbf_zf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nfbf.harness, "hbf_zf", counted)
+    spec = ExperimentSpec(
+        experiment="sumrate-vs-snr",
+        schemes=("hbf-zf-perfect",),
+        trials=2,
+        sweep=(0.0, 10.0, 20.0),
+        n_bs=4,
+        k=8,
+        l=1,
+    )
+    table = run_experiment(spec)
+    assert all(r.trials == 0 and np.isnan(r.mean) for r in table.rows)
+    assert len(calls) == spec.trials
 
 
 def test_mm_mu_mode_from_config_reaches_aobf_imperfect():
@@ -336,6 +406,17 @@ def test_spec_from_dict_roundtrip_and_unknown_keys():
         spec_from_dict({"experiment": "sumrate-vs-snr", "power": {"typo": 1}})
     with pytest.raises(ValueError):
         spec_from_dict(["not", "a", "dict"])
+    wrong_types = (
+        {"trials": True},
+        {"n_bs": 16.0},
+        {"sweep": 5},
+        {"power": 5},
+        {"mm": {"t_max": 1.5}},
+        {"power": {"includes_baseband": 1}},
+    )
+    for bad in wrong_types:
+        with pytest.raises(ValueError):
+            spec_from_dict({"experiment": "sumrate-vs-snr", **bad})
 
 
 def test_experiment_names_are_stable():
