@@ -27,9 +27,6 @@ from .harness import (
 )
 from .selftest import run_selftest
 
-# each list flag and the spec field it sets; the flag's argparse dest is the field
-_LIST_FLAGS = (("--snr-db", "snr_db"), ("--nbs", "n_bs"), ("--k", "k"))
-
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
@@ -58,7 +55,8 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
         spec = replace(spec, base_seed=args.seed)
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
-    for flag, name in _LIST_FLAGS:
+    # each list flag and the spec field it sets; the flag's argparse dest is the field
+    for flag, name in (("--snr-db", "snr_db"), ("--nbs", "n_bs"), ("--k", "k")):
         values = getattr(args, name, None)
         if values is None:
             continue
