@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .channel import (
     make_user_channel,
     random_scenario,
 )
-from .codebook import PolarCodebook, beam_sweep, build_codebook
+from .codebook import DEFAULT_BETA, DEFAULT_N_DIS, PolarCodebook, beam_sweep, build_codebook
 from .geometry import ArrayConfig, PolarCoord, rayleigh_distance
 from .hbf import (
     SingularEffectiveChannelError,
@@ -55,9 +55,6 @@ SCHEMES = (
     "hbf-zf-imperfect",
     "hbf-wmmse-perfect",
     "hbf-wmmse-imperfect",
-)
-ANALOG_SCHEMES = frozenset(
-    {"aobf-perfect", "aobf-imperfect", "steer-perfect", "steer-imperfect"}
 )
 DEFAULT_SNR_SWEEP = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 DEFAULT_NBS_SWEEP = (16, 32, 64)
@@ -89,15 +86,15 @@ class ExperimentSpec:
     experiment: str
     schemes: tuple[str, ...] = SCHEMES
     trials: int = 200
-    sweep: tuple = ()
+    sweep: tuple[float, ...] = ()
     base_seed: int = 0
     n_bs: int = 64
     k: int = 4
     l: int = 3
     wavelength: float = 1.0
     spacing: float | None = None
-    n_dis: int = 320
-    beta: float = 1.6
+    n_dis: int = DEFAULT_N_DIS
+    beta: float = DEFAULT_BETA
     r_count: int = 4
     s_count: int = 4
     snr_db: float = 20.0
@@ -106,7 +103,7 @@ class ExperimentSpec:
     power: PowerModel = field(default_factory=PowerModel)
     pilot_noise_factor: float = 1.0
     pattern_random_paths: bool = False
-    pattern_locations: tuple = DEFAULT_PATTERN_LOCATIONS
+    pattern_locations: tuple[tuple[float, float], ...] = DEFAULT_PATTERN_LOCATIONS
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -120,6 +117,10 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.k < 1 or self.l < 1:
             raise ValueError("k and l must be >= 1")
+        if not self.p > 0:
+            raise ValueError("p must be positive")
+        if not self.pilot_noise_factor >= 0:
+            raise ValueError("pilot_noise_factor must be nonnegative")
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(n_bs=self.n_bs, wavelength=self.wavelength, spacing=self.spacing)
@@ -258,11 +259,6 @@ class _TrialState:
         return sum_rate(self.scenario, f, self.spec.p, sigma2)
 
 
-def scheme_power_model(spec: ExperimentSpec, scheme: str) -> PowerModel:
-    """Analog-only schemes drop the baseband stage from the power budget."""
-    return replace(spec.power, includes_baseband=scheme not in ANALOG_SCHEMES)
-
-
 def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
     ok = np.isfinite(values)
     n = int(np.sum(ok))
@@ -321,7 +317,9 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             mean, stderr, n = _aggregate(rates)
             rows.append(ResultRow(v, scheme, "sum_rate", mean, stderr, n))
             if spec.experiment == "ee-vs-snr":
-                p_tot = total_power(scheme_power_model(spec, scheme), vs.n_bs, vs.k)
+                # only the hybrid schemes have a baseband stage to power
+                hybrid = scheme.startswith("hbf-")
+                p_tot = total_power(spec.power, vs.p, vs.n_bs, vs.k, baseband=hybrid)
                 ee = rates / p_tot
                 mean, stderr, n = _aggregate(ee)
                 rows.append(ResultRow(v, scheme, "energy_efficiency", mean, stderr, n))
@@ -447,36 +445,46 @@ _JSON_TYPES = {
 }
 
 
+def _from_json(value, hint, where: str):
+    """The JSON value as the type hint's Python value, or a ValueError where it
+    does not fit: null fits an optional hint, a list becomes a tuple whose
+    items each fit the tuple's first type, and an object becomes a dataclass."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if is_dataclass(hint):
+        return hint(**_json_kwargs(hint, value, where))
+    origin = typing.get_origin(hint) or hint
+    if origin not in _JSON_TYPES:
+        return value
+    want, label = _JSON_TYPES[origin]
+    if not isinstance(value, want) or isinstance(value, bool) != (origin is bool):
+        raise ValueError(f"{where} must be {label}, got {value!r}")
+    if origin is tuple:
+        return tuple(_from_json(x, args[0], f"{where}[{i}]") for i, x in enumerate(value))
+    return value
+
+
 def _json_kwargs(cls, doc, what: str) -> dict:
     """doc as keyword arguments for the dataclass cls. A document that is not
-    an object, a key cls has no field for, or a value of the wrong JSON type
-    for its field is a ValueError."""
+    an object, a key cls has no field for, a missing key cls has no default
+    for, or a value that does not fit its field's type is a ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {what}: {sorted(unknown)}")
+    # a field with neither a default nor a default factory must be given
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    if required - set(doc):
+        raise ValueError(f"missing keys in {what}: {sorted(required - set(doc))}")
     hints = typing.get_type_hints(cls)
-    for name, value in doc.items():
-        hint = typing.get_origin(hints[name]) or hints[name]
-        if hint not in _JSON_TYPES:
-            continue
-        want, label = _JSON_TYPES[hint]
-        if not isinstance(value, want) or isinstance(value, bool) != (hint is bool):
-            raise ValueError(f"{what} key {name!r} must be {label}, got {value!r}")
-    return dict(doc)
+    return {name: _from_json(v, hints[name], f"{what} key {name!r}") for name, v in doc.items()}
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON config document (fail-fast)."""
-    kwargs = _json_kwargs(ExperimentSpec, doc, "config")
-    if "mm" in kwargs:
-        kwargs["mm"] = MMConfig(**_json_kwargs(MMConfig, kwargs["mm"], "mm"))
-    if "power" in kwargs:
-        kwargs["power"] = PowerModel(**_json_kwargs(PowerModel, kwargs["power"], "power"))
-    for key in ("schemes", "sweep"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if "pattern_locations" in kwargs:
-        kwargs["pattern_locations"] = tuple(tuple(x) for x in kwargs["pattern_locations"])
-    return ExperimentSpec(**kwargs)
+    return _from_json(doc, ExperimentSpec, "config")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodewordIndex, PolarCodebook
-from .metrics import ANALOG_ONLY, HYBRID_COMPOSITE, BeamformerMatrix
+from .metrics import ANALOG_ONLY, HYBRID_COMPOSITE, BeamformerMatrix, channel_sum_rate
 
 COND_LIMIT = 1e12
 
@@ -121,15 +121,6 @@ def hbf_zf(f_ab, eff: EffectiveChannel) -> HybridBeamformer:
     return _composite(a, d)
 
 
-def _eff_sum_rate(g: np.ndarray, v: np.ndarray, per_user: float, sigma2: float) -> float:
-    """Sum rate through the effective channel with per-stream power per_user."""
-    t = g.conj().T @ v  # t[k, i] = g_k^H v_i
-    pw = per_user * np.abs(t) ** 2
-    sig = np.diag(pw)
-    interf = np.sum(pw, axis=1) - sig
-    return float(np.sum(np.log2(1.0 + sig / (interf + sigma2))))
-
-
 def _power_limited_precoder(
     a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, budget: float
 ) -> np.ndarray:
@@ -200,7 +191,7 @@ def hbf_wmmse(
     pw[pw == 0] = 1.0
     v = v / np.sqrt(pw)
 
-    trace = [_eff_sum_rate(eff.matrix, v, per_user, sigma2)]
+    trace = [channel_sum_rate(eff.matrix, v, p, sigma2)]
     converged = False
     it = 0
     for it in range(1, iters + 1):
@@ -218,7 +209,7 @@ def hbf_wmmse(
         v = np.linalg.lstsq(a_mat, c, rcond=None)[0]
         if np.real(np.einsum("ik,ij,jk->", v.conj(), b, v)) > kk:
             v = _power_limited_precoder(a_mat, b, c, kk)
-        trace.append(_eff_sum_rate(eff.matrix, v, per_user, sigma2))
+        trace.append(channel_sum_rate(eff.matrix, v, p, sigma2))
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
             converged = True
             break

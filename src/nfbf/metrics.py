@@ -44,14 +44,12 @@ class BeamformerMatrix:
 class PowerModel:
     """Component power draws (watts) for energy-efficiency accounting."""
 
-    p_tx: float = 1.0
     p_rf: float = 0.026
     p_ps: float = 0.010
     p_bb: float = 0.200
-    includes_baseband: bool = True
 
     def __post_init__(self):
-        if min(self.p_tx, self.p_rf, self.p_ps, self.p_bb) < 0:
+        if min(self.p_rf, self.p_ps, self.p_bb) < 0:
             raise ValueError("power components must be nonnegative")
 
 
@@ -59,17 +57,24 @@ def _matrix_of(f) -> np.ndarray:
     return np.asarray(getattr(f, "matrix", f))
 
 
+def _sinrs(hh: np.ndarray, m: np.ndarray, p: float, sigma2: float) -> np.ndarray:
+    """Every user's SINR for channel columns h_k and beamformer columns f_i, at
+    equal power P/K per stream: the one place the gains |h_k^H f_i|^2 are formed."""
+    if m.shape[0] != hh.shape[0]:
+        raise ValueError("dimension mismatch")
+    # stacked products of contiguous rows h_k^H with F round as each h_k^H F alone;
+    # one (K, N) @ (N, K) product or strided rows round differently
+    rows = np.ascontiguousarray(hh.T).conj()[:, None, :]
+    g = np.abs((rows @ m)[:, 0, :]) ** 2
+    per_user = p / m.shape[1]
+    signal = np.diag(g)
+    interference = per_user * (np.sum(g, axis=1) - signal)
+    return per_user * signal / (interference + sigma2)
+
+
 def sinr(scenario, f, k: int, p: float, sigma2: float) -> float:
     """(P/K)|h_k^H f_k|^2 / ((P/K) sum_{i != k} |h_k^H f_i|^2 + sigma2)."""
-    m = _matrix_of(f)
-    h = scenario.users[k].vector
-    if m.shape[0] != h.shape[0]:
-        raise ValueError("dimension mismatch")
-    kk = m.shape[1]
-    gains = np.abs(h.conj() @ m) ** 2
-    per_user = p / kk
-    interference = per_user * (np.sum(gains) - gains[k])
-    return float(per_user * gains[k] / (interference + sigma2))
+    return float(_sinrs(scenario.channel_matrix(), _matrix_of(f), p, sigma2)[k])
 
 
 def achievable_rate(sinr_value: float) -> float:
@@ -77,29 +82,23 @@ def achievable_rate(sinr_value: float) -> float:
     return float(np.log2(1.0 + sinr_value))
 
 
+def channel_sum_rate(hh: np.ndarray, f, p: float, sigma2: float) -> float:
+    """Sum of per-user achievable rates over the channel columns hh."""
+    return float(sum(achievable_rate(s) for s in _sinrs(hh, _matrix_of(f), p, sigma2)))
+
+
 def sum_rate(scenario, f, p: float, sigma2: float) -> float:
     """Sum of per-user achievable rates."""
-    m = _matrix_of(f)
-    return float(
-        sum(achievable_rate(sinr(scenario, m, k, p, sigma2)) for k in range(m.shape[1]))
-    )
+    return channel_sum_rate(scenario.channel_matrix(), f, p, sigma2)
 
 
 def slnr(scenario, f, k: int, p: float, sigma2: float) -> float:
     """(P/K)|h_k^H f_k|^2 / ((P/K) sum_{i != k} |h_i^H f_k|^2 + sigma2).
 
     The leakage term measures the power user k's own beam deposits on the
-    other users' channels.
+    other users' channels: it is the SINR with channel and beamformer exchanged.
     """
-    m = _matrix_of(f)
-    hh = scenario.channel_matrix()
-    if m.shape[0] != hh.shape[0]:
-        raise ValueError("dimension mismatch")
-    kk = m.shape[1]
-    leak = np.abs(hh.conj().T @ m[:, k]) ** 2
-    per_user = p / kk
-    leakage = per_user * (np.sum(leak) - leak[k])
-    return float(per_user * leak[k] / (leakage + sigma2))
+    return float(_sinrs(_matrix_of(f), scenario.channel_matrix(), p, sigma2)[k])
 
 
 def beam_gain(cfg: ArrayConfig, f_column: np.ndarray, location: PolarCoord) -> float:
@@ -118,10 +117,10 @@ def beam_pattern_grid(cfg, f_column, angle_grid, radius_grid) -> np.ndarray:
     return np.abs(u.conj() @ np.asarray(f_column)) ** 2
 
 
-def total_power(model: PowerModel, n_bs: int, n_rf: int) -> float:
-    """P + N_RF P_RF + N_BS N_RF P_PS + (P_BB if the baseband stage is present)."""
-    total = model.p_tx + n_rf * model.p_rf + n_bs * n_rf * model.p_ps
-    if model.includes_baseband:
+def total_power(model: PowerModel, p: float, n_bs: int, n_rf: int, baseband: bool) -> float:
+    """p + N_RF P_RF + N_BS N_RF P_PS (+ P_BB with a baseband stage), p the run's P."""
+    total = p + n_rf * model.p_rf + n_bs * n_rf * model.p_ps
+    if baseband:
         total += model.p_bb
     return float(total)
 

@@ -127,11 +127,22 @@ def test_malformed_config_exits_2(tmp_path):
     missing = tmp_path / "does-not-exist.json"
     code3, _, err3 = _run(["run", "--config", str(missing)])
     assert code3 == 2 and "error:" in err3
-    for doc in ({"mm": 5}, {"trials": "5"}, {"schemes": 5}):
+    for command, doc in (
+        ("run", {"mm": 5}),
+        ("run", {"trials": "5"}),
+        ("run", {"schemes": 5}),
+        ("run", {"spacing": "x"}),
+        ("run", {"power": {"includes_baseband": False}}),
+        ("run", {"power": {"p_tx": 1}}),
+        ("pattern", {"pattern_locations": [5]}),
+        ("pattern", {"pattern_locations": [["a", 2]]}),
+    ):
+        experiment = "beam-pattern" if command == "pattern" else "sumrate-vs-snr"
         wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps(dict(experiment="sumrate-vs-snr", **doc)))
-        code4, _, err4 = _run(["run", "--config", str(wrong)])
+        wrong.write_text(json.dumps(dict(experiment=experiment, **doc)))
+        code4, _, err4 = _run([command, "--config", str(wrong)])
         assert code4 == 2 and "error:" in err4, doc
+        assert next(iter(doc)) in err4, err4  # the key at fault, not a later failure
 
 
 def test_codebook_export(tmp_path):

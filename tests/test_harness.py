@@ -22,10 +22,9 @@ from nfbf.harness import (
     resolved_sweep,
     run_beam_pattern,
     run_experiment,
-    scheme_power_model,
     spec_from_dict,
 )
-from nfbf.metrics import noise_from_snr, total_power
+from nfbf.metrics import PowerModel, noise_from_snr, total_power
 
 
 def _tiny_spec(**kw):
@@ -148,13 +147,35 @@ def test_energy_efficiency_rows_compose_rate_and_power():
     for scheme in spec.schemes:
         rate = table.value(10.0, scheme, "sum_rate")
         ee = table.value(10.0, scheme, "energy_efficiency")
-        p_tot = total_power(scheme_power_model(spec, scheme), 16, 2)
+        p_tot = total_power(spec.power, 1.0, 16, 2, baseband=scheme.startswith("hbf-"))
         assert ee.mean == pytest.approx(rate.mean / p_tot, rel=1e-12)
         assert ee.trials == rate.trials == 2
     # the analog front end is cheaper: no baseband term in its budget
-    p_analog = total_power(scheme_power_model(spec, "steer-perfect"), 16, 2)
-    p_hybrid = total_power(scheme_power_model(spec, "hbf-wmmse-perfect"), 16, 2)
+    p_analog = total_power(spec.power, 1.0, 16, 2, baseband=False)
+    p_hybrid = total_power(spec.power, 1.0, 16, 2, baseband=True)
     assert p_hybrid - p_analog == pytest.approx(spec.power.p_bb, rel=1e-12)
+
+
+def test_energy_efficiency_divides_by_the_runs_transmit_power():
+    # the budget's transmit term is the P the rates were computed at
+    spec = _tiny_spec(experiment="ee-vs-snr", schemes=SCHEMES, trials=2, sweep=(10.0,), p=2.0)
+    table = run_experiment(spec)
+    pw = PowerModel()
+    for scheme in SCHEMES:
+        rate = table.value(10.0, scheme, "sum_rate")
+        ee = table.value(10.0, scheme, "energy_efficiency")
+        p_tot = 2.0 + 2 * pw.p_rf + 16 * 2 * pw.p_ps
+        if scheme.startswith("hbf-"):
+            p_tot += pw.p_bb
+        assert ee.mean == pytest.approx(rate.mean / p_tot, rel=1e-12), scheme
+
+
+@pytest.mark.parametrize(
+    "bad", [{"p": 0.0}, {"p": -1.0}, {"p": float("nan")}, {"pilot_noise_factor": -1.0}]
+)
+def test_spec_rejects_nonsense_power_inputs(bad):
+    with pytest.raises(ValueError):
+        _tiny_spec(**bad)
 
 
 def test_nbs_and_k_sweeps_change_the_draw():
@@ -397,7 +418,7 @@ def test_spec_from_dict_roundtrip_and_unknown_keys():
     assert spec.schemes == ("steer-perfect",)
     assert spec.sweep == (0.0, 5.0)
     assert spec.mm.omega == 500.0 and spec.mm.t_max == 50
-    assert spec.power.p_bb == 0.3 and spec.power.p_tx == 1.0
+    assert spec.power == PowerModel(p_bb=0.3) and spec.p == 1.0
     with pytest.raises(ValueError):
         spec_from_dict({"experiment": "sumrate-vs-snr", "typo": 1})
     with pytest.raises(ValueError):
@@ -406,13 +427,15 @@ def test_spec_from_dict_roundtrip_and_unknown_keys():
         spec_from_dict({"experiment": "sumrate-vs-snr", "power": {"typo": 1}})
     with pytest.raises(ValueError):
         spec_from_dict(["not", "a", "dict"])
+    with pytest.raises(ValueError, match="experiment"):
+        spec_from_dict({"trials": 2})
     wrong_types = (
         {"trials": True},
         {"n_bs": 16.0},
         {"sweep": 5},
         {"power": 5},
         {"mm": {"t_max": 1.5}},
-        {"power": {"includes_baseband": 1}},
+        {"pattern_random_paths": 1},
     )
     for bad in wrong_types:
         with pytest.raises(ValueError):

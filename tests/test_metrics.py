@@ -93,6 +93,32 @@ def test_sinr_interference_lowers_rate():
             assert full <= alone + 1e-12
 
 
+def _loop_sum_rate(sc, f, p, sigma2):
+    """Reference sum rate: a per-user loop, each user's gains from its own h_k^H F."""
+    rates = []
+    for k in range(f.shape[1]):
+        gains = np.abs(sc.users[k].vector.conj() @ f) ** 2
+        per_user = p / f.shape[1]
+        interference = per_user * (np.sum(gains) - gains[k])
+        rates.append(float(np.log2(1.0 + float(per_user * gains[k] / (interference + sigma2)))))
+    return float(sum(rates))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+def test_sum_rate_equals_per_user_loop_bit_for_bit(n):
+    # == and not approx: every reported rate keeps its bits, beyond the
+    # shapes the golden files cover (N < K included)
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 3, 4, 6, 8):
+        for _ in range(3):
+            cfg, sc, f = _random_scenario_and_f(rng, n, k)
+            analog = np.exp(1j * np.angle(f)) / np.sqrt(n)
+            for snr_db in (-10.0, 0.0, 20.0, 30.0):
+                s2 = noise_from_snr(1.0, k, snr_db)
+                for m in (f, analog):
+                    assert sum_rate(sc, m, 1.0, s2) == _loop_sum_rate(sc, m, 1.0, s2)
+
+
 def test_slnr_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -168,16 +194,18 @@ def test_beam_pattern_grid_matches_pointwise():
 
 def test_total_power_oracle():
     m = PowerModel()
-    assert total_power(m, 64, 4) == 3.8640000000000003
-    assert total_power(PowerModel(includes_baseband=False), 64, 4) == 3.664
-    assert total_power(PowerModel(includes_baseband=False), 64, 1) == 1.666
+    assert total_power(m, 1.0, 64, 4, baseband=True) == 3.8640000000000003
+    assert total_power(m, 1.0, 64, 4, baseband=False) == 3.664
+    assert total_power(m, 1.0, 64, 1, baseband=False) == 1.666
+    # the transmit power is the run's P, not a model component
+    assert total_power(m, 2.0, 64, 4, baseband=False) == 4.664
 
 
 def test_energy_efficiency_favors_analog_front_end():
     # at equal sum rate, the single-chain no-baseband front end wins
     rate = 10.0
-    p_analog = total_power(PowerModel(includes_baseband=False), 64, 1)
-    p_hybrid = total_power(PowerModel(), 64, 4)
+    p_analog = total_power(PowerModel(), 1.0, 64, 1, baseband=False)
+    p_hybrid = total_power(PowerModel(), 1.0, 64, 4, baseband=True)
     assert energy_efficiency(rate, p_analog) > energy_efficiency(rate, p_hybrid)
     assert energy_efficiency(rate, p_hybrid) == pytest.approx(
         rate / 3.8640000000000003, rel=1e-15
