@@ -61,17 +61,25 @@ DEFAULT_NBS_SWEEP = (16, 32, 64)
 DEFAULT_K_SWEEP = (1, 2, 4, 8)
 DEFAULT_AUX_SWEEP = (1, 2, 4, 6)
 
+
+def _integral(v) -> int:
+    """v as an int; a ValueError where v is not integral, so 16.5 cannot run as 16."""
+    if not float(v).is_integer():
+        raise ValueError(f"sweep value {v!r} is not an integer")
+    return int(v)
+
+
 # The one map from experiment to the ExperimentSpec fields one sweep value
 # sets, the cast the value gets there and the default sweep values. The cast
 # is explicit: a JSON "snr_db": 20 must not make a 2.5 dB sweep point an int.
 SweepAxis = collections.namedtuple("SweepAxis", "fields cast default")
 SWEEP_AXES = {
     "sumrate-vs-snr": SweepAxis(("snr_db",), float, DEFAULT_SNR_SWEEP),
-    "sumrate-vs-nbs": SweepAxis(("n_bs",), int, DEFAULT_NBS_SWEEP),
-    "sumrate-vs-k": SweepAxis(("k",), int, DEFAULT_K_SWEEP),
+    "sumrate-vs-nbs": SweepAxis(("n_bs",), _integral, DEFAULT_NBS_SWEEP),
+    "sumrate-vs-k": SweepAxis(("k",), _integral, DEFAULT_K_SWEEP),
     "ee-vs-snr": SweepAxis(("snr_db",), float, DEFAULT_SNR_SWEEP),
     "beam-pattern": SweepAxis((), None, ()),
-    "aux-sweep": SweepAxis(("r_count", "s_count"), int, DEFAULT_AUX_SWEEP),
+    "aux-sweep": SweepAxis(("r_count", "s_count"), _integral, DEFAULT_AUX_SWEEP),
 }
 EXPERIMENTS = tuple(SWEEP_AXES)
 DEFAULT_PATTERN_LOCATIONS = ((-23.57, 50.0), (17.46, 150.0), (-64.16, 100.0))

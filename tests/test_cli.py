@@ -115,6 +115,15 @@ def test_sweep_experiment_accepts_list_override(tmp_path, experiment, flag, valu
     assert sweeps == list(values)
 
 
+@pytest.mark.parametrize("experiment", ["sumrate-vs-nbs", "sumrate-vs-k", "aux-sweep"])
+def test_non_integral_sweep_value_on_an_int_axis_exits_2(tmp_path, experiment):
+    schemes = ["aobf-imperfect"] if experiment == "aux-sweep" else ["steer-perfect"]
+    cfg = _write_config(tmp_path, experiment=experiment, schemes=schemes, sweep=[2, 2.5])
+    code, out, err = _run(["run", "--config", cfg])
+    assert code == 2 and "error:" in err and "2.5" in err
+    assert out == ""
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

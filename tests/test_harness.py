@@ -23,6 +23,7 @@ from nfbf.harness import (
     run_beam_pattern,
     run_experiment,
     spec_from_dict,
+    value_spec,
 )
 from nfbf.metrics import PowerModel, noise_from_snr, total_power
 
@@ -241,6 +242,23 @@ def test_int_snr_in_config_does_not_truncate_a_fractional_sweep_point():
     as_int = run_experiment(spec_from_dict(dict(doc, snr_db=20))).to_csv()
     assert as_int == run_experiment(spec_from_dict(dict(doc, snr_db=20.0))).to_csv()
     assert as_int != run_experiment(spec_from_dict(dict(doc, sweep=[2]))).to_csv()
+
+
+@pytest.mark.parametrize(
+    "experiment, fields",
+    [
+        ("sumrate-vs-nbs", ("n_bs",)),
+        ("sumrate-vs-k", ("k",)),
+        ("aux-sweep", ("r_count", "s_count")),
+    ],
+)
+def test_int_axis_rejects_a_non_integral_sweep_value(experiment, fields):
+    spec = spec_from_dict({"experiment": experiment, "sweep": [16.5]})
+    with pytest.raises(ValueError, match="16.5"):
+        value_spec(spec, 16.5)
+    for v in (20, 20.0):
+        vs = value_spec(spec, v)
+        assert all(type(getattr(vs, name)) is int and getattr(vs, name) == 20 for name in fields)
 
 
 def test_aux_sweep_restricted_to_aobf_imperfect():

@@ -15,6 +15,7 @@ from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.metrics import ANALOG_ONLY
 from nfbf.mm import (
     MMConfig,
+    _top_gram_eigenvalue,
     aobf_imperfect_csi,
     aobf_perfect_csi,
     imperfect_objective,
@@ -400,9 +401,9 @@ def test_trace_endpoints_match_objective_oracles():
 
 
 def test_trace_error_is_bounded_by_the_shift_when_the_objective_vanishes():
-    # two users on one codeword: each design nulls the shared support, the
-    # objective falls toward 0 and the trace keeps only an absolute accuracy
-    # of a few ulps of omega * mu (the shift it subtracts from)
+    # two users on one codeword: each design nulls the shared support and the
+    # objective falls toward 0; the trace, read off the low-rank part of the
+    # product, subtracts no omega * mu and stays within a few ulps of it
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=20)
     indices = [CodewordIndex(5, 1), CodewordIndex(5, 1), CodewordIndex(12, 2)]
@@ -418,8 +419,8 @@ def test_trace_error_is_bounded_by_the_shift_when_the_objective_vanishes():
 
 
 def test_perfect_design_matches_an_independent_loop():
-    # the engine's update matrix sums per-user outer products; an independent
-    # loop on _perfect_g over the reported iteration count lands on the same
+    # the engine never forms an update matrix; an independent loop on the
+    # dense _perfect_g over the reported iteration count lands on the same
     # columns to rounding
     for seed in range(3):
         sc = random_scenario(ArrayConfig(n_bs=16), 3, 2, seed=seed)
@@ -431,3 +432,144 @@ def test_perfect_design_matches_an_independent_loop():
             for _ in range(rep.iterations_used[k]):
                 col = np.exp(1j * np.angle(g @ col)) / 4.0
             assert np.allclose(f.matrix[:, k], col, rtol=0, atol=1e-12)
+
+
+# The dense per-user engine the batched kernel replaced, kept as its oracle:
+# user k's N x N update matrix G = U_k^T U_k^* - omega (Z_k - mu I) and its own
+# loop of projected matvecs, with mu taken from the N x N interference matrix.
+def _dense_power(u):
+    return float(np.sum(np.abs(u) ** 2))
+
+
+_DENSE_MU = {
+    ("perfect", "spectral"): lambda others, z_int: sum(_dense_power(u) for u in others),
+    ("perfect", "paper-exact"): lambda others, z_int: max(_dense_power(u) for u in others)
+    * len(others),
+    ("imperfect", "spectral"): lambda others, z_int: float(np.linalg.eigvalsh(z_int)[-1]),
+    ("imperfect", "paper-exact"): lambda others, z_int: sum(u.shape[0] for u in others)
+    / z_int.shape[0],
+}
+
+
+def _dense_update_matrix(stacks, k, omega, mu_rule):
+    g = stacks[k].T @ stacks[k].conj()
+    others = [u for i, u in enumerate(stacks) if i != k]
+    if not others:
+        return g, 0.0
+    n = g.shape[0]
+    z_int = np.zeros((n, n), dtype=complex)
+    for u in others:
+        z_int += u.T @ u.conj()
+    mu = mu_rule(others, z_int)
+    return g - omega * z_int + omega * mu * np.eye(n), mu
+
+
+def _dense_project(gf, f):
+    out = np.exp(1j * np.angle(gf)) / np.sqrt(f.shape[0])
+    zero = gf == 0
+    if np.any(zero):
+        out[zero] = f[zero]
+    return out
+
+
+def _dense_run_mm(g_mat, f0, cfg, offset):
+    f = f0
+    gf = g_mat @ f
+    trace = [offset * np.vdot(f, f).real - np.vdot(f, gf).real]
+    converged = False
+    t = 0
+    for t in range(1, cfg.t_max + 1):
+        f_new = _dense_project(gf, f)
+        diff = float(np.sum(np.abs(f_new - f) ** 2))
+        f = f_new
+        gf = g_mat @ f
+        trace.append(offset * np.vdot(f, f).real - np.vdot(f, gf).real)
+        if diff <= cfg.epsilon:
+            converged = True
+            break
+    return f, t, np.array(trace), converged
+
+
+def _dense_design(stacks, starts, cfg, regime):
+    """Per user: (column, iterations, trace, converged) from the dense engine."""
+    out = []
+    for k, f0 in enumerate(starts):
+        g, mu = _dense_update_matrix(stacks, k, cfg.omega, _DENSE_MU[regime, cfg.mu_mode])
+        out.append(_dense_run_mm(g, f0, cfg, cfg.omega * mu))
+    return out
+
+
+def _regime_runs(n, seed, rs_values, mm):
+    """(regime, batched design, dense oracle, support stacks, objective) per run."""
+    cfg = ArrayConfig(n_bs=n)
+    sc = random_scenario(cfg, 4, 3, seed=seed)
+    hh = sc.channel_matrix()
+    stacks = [h[None, :] for h in hh.T]
+    starts = [np.exp(1j * np.angle(h)) / np.sqrt(n) for h in hh.T]
+    runs = [("perfect", aobf_perfect_csi(sc, mm), _dense_design(stacks, starts, mm, "perfect"),
+             list(hh.T), slnr_objective)]
+    if rs_values:
+        cb = build_codebook(cfg, n_dis=40)
+        indices = [beam_sweep(cb, u.vector) for u in sc.users]
+    for rs in rs_values:
+        aux = approximate_channel_matrices(cb, [auxiliary_points(cb, i, rs, rs) for i in indices])
+        starts = [cb.codeword(i) for i in indices]
+        runs.append(("imperfect", aobf_imperfect_csi(cb, indices, rs, rs, mm),
+                     _dense_design(aux, starts, mm, "imperfect"), aux, imperfect_objective))
+    return runs
+
+
+@pytest.mark.parametrize("mu_mode", ["spectral", "paper-exact"])
+def test_batched_kernel_matches_the_dense_engine(mu_mode):
+    # same flags and iteration counts in both regimes; final objectives, each
+    # evaluated at the returned column, within 1e-9 relative
+    mm = MMConfig(mu_mode=mu_mode)
+    for seed in range(3):
+        for regime, (f, rep), dense, support, objective in _regime_runs(64, seed, (1, 4, 6), mm):
+            assert rep.converged == [d[3] for d in dense], (seed, regime)
+            assert rep.iterations_used == [d[1] for d in dense], (seed, regime)
+            for k, (col, _, _, _) in enumerate(dense):
+                got = objective(support, f.matrix[:, k], k, mm.omega)
+                want = objective(support, col, k, mm.omega)
+                assert got == pytest.approx(want, rel=1e-9, abs=0), (seed, regime, k)
+
+
+def test_converged_columns_leave_the_batch():
+    # perfect CSI at N = 64, seed 0: the users converge at different
+    # iterations; each column's count, trace length and value are those of its
+    # own dense run, and a converged column is frozen while the others iterate
+    mm = MMConfig()
+    [(_, (f, rep), dense, _, _)] = _regime_runs(64, 0, (), mm)
+    assert len(set(rep.iterations_used)) == 4
+    assert max(rep.iterations_used) < mm.t_max
+    for k, (col, used, trace, _) in enumerate(dense):
+        assert rep.iterations_used[k] == used
+        assert len(rep.objective_trace[k]) == len(trace) == used + 1
+        assert np.allclose(f.matrix[:, k], col, rtol=0, atol=1e-12)
+    sc = random_scenario(ArrayConfig(n_bs=64), 4, 3, seed=0)
+    first = int(np.argmin(rep.iterations_used))
+    f_cut, rep_cut = aobf_perfect_csi(sc, MMConfig(t_max=rep.iterations_used[first]))
+    assert rep_cut.converged[first]
+    assert np.array_equal(f_cut.matrix[:, first], f.matrix[:, first])
+    assert np.array_equal(rep_cut.objective_trace[first], rep.objective_trace[first])
+
+
+@pytest.mark.parametrize("rs, gram_size", [(2, 12), (6, 64)])
+def test_spectral_mu_from_the_smaller_gram(rs, gram_size, monkeypatch):
+    # (K-1) R S = 12 < N = 64 decomposes the 12 x 12 Gram V^* V^T; 108 > 64
+    # decomposes Z_k itself; both give the top eigenvalue of the N x N Z_k
+    cfg = ArrayConfig(n_bs=64)
+    cb = build_codebook(cfg, n_dis=40)
+    sc = random_scenario(cfg, 4, 3, seed=1)
+    indices = [beam_sweep(cb, u.vector) for u in sc.users]
+    aux = approximate_channel_matrices(cb, [auxiliary_points(cb, i, rs, rs) for i in indices])
+    eigvalsh = np.linalg.eigvalsh
+    for k in range(4):
+        others = [u for i, u in enumerate(aux) if i != k]
+        z_int = sum(u.T @ u.conj() for u in others)
+        sizes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(a.shape) or eigvalsh(a))
+        got = _top_gram_eigenvalue(np.concatenate(others))
+        monkeypatch.undo()
+        assert sizes == [(gram_size, gram_size)]
+        assert got == pytest.approx(float(eigvalsh(z_int)[-1]), rel=1e-12, abs=0)
