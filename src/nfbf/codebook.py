@@ -18,6 +18,10 @@ from .geometry import ArrayConfig, PolarCoord, steering_matrix
 
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
+# build_codebook fills the codewords one block of angle rows at a time, so its
+# distance, phase and exp temporaries hold about this many entries each, not
+# the whole N x N_DIS x N grid.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,11 @@ def build_codebook(
     angles = grid_angle(n, np.arange(1, n + 1))
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
-    codewords = steering_matrix(cfg, angles[:, None], radii)
+    codewords = np.empty((n, n_dis, n), dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // (n_dis * n))
+    for lo in range(0, n, rows):
+        codewords[lo : lo + rows] = steering_matrix(cfg, angles[lo : lo + rows, None],
+                                                    radii[lo : lo + rows])
     return PolarCodebook(
         array=cfg, n_dis=n_dis, beta=beta, angles=angles, radii=radii, codewords=codewords
     )

@@ -37,6 +37,7 @@ from .hbf import (
     hbf_zf,
 )
 from .metrics import (
+    BeamformerMatrix,
     PowerModel,
     beam_gain,
     beam_pattern_grid,
@@ -84,6 +85,10 @@ SWEEP_AXES = {
 EXPERIMENTS = tuple(SWEEP_AXES)
 DEFAULT_PATTERN_LOCATIONS = ((-23.57, 50.0), (17.46, 150.0), (-64.16, 100.0))
 _EST_STREAM = 0x5EED  # fixed offset stream for estimation-noise draws
+# Trials run_experiment holds at once: it draws and sweeps this many, designs
+# their analog beams as one MM batch per design, then computes their rates,
+# so memory stays bounded however many trials a run has.
+TRIAL_CHUNK = 32
 CSV_HEADER = ("sweep", "scheme", "metric", "mean", "stderr", "trials")
 
 
@@ -226,12 +231,15 @@ class _TrialState:
             return analog_beam_steering("perfect", scenario=self.scenario)
         return analog_beam_steering("imperfect", cb=self.cb, indices=self.indices())
 
-    @_per_trial
     def aobf(self, csi: str, aux: tuple[int, int]):
-        """Analog-only MM design; aux = (R, S) sizes the imperfect-CSI grid."""
-        if csi == "perfect":
-            return aobf_perfect_csi(self.scenario, self.spec.mm)[0]
-        return aobf_imperfect_csi(self.cb, self.indices(), *aux, self.spec.mm)[0]
+        """Analog-only MM design; aux = (R, S) sizes the imperfect-CSI grid.
+
+        run_experiment designs a chunk's trials as one batch beforehand; a
+        state designed alone is a batch of one.
+        """
+        if ("aobf", csi, aux) not in self._cache:
+            _design_aobf([self], csi, aux)
+        return self._cache[("aobf", csi, aux)]
 
     @_per_trial
     def eff(self, csi: str, sigma_e2: float):
@@ -265,6 +273,19 @@ class _TrialState:
             return float("nan")
         f.validate()
         return sum_rate(self.scenario, f, self.spec.p, sigma2)
+
+
+def _design_aobf(states: list[_TrialState], csi: str, aux: tuple[int, int]) -> None:
+    """Design one regime's analog beams for every state as one MM batch and
+    cache each trial's (N, K) columns on its state. The states share N, K and
+    the codebook, so their row stacks are of equal size."""
+    state = states[0]
+    if csi == "perfect":
+        bf, _ = aobf_perfect_csi([s.scenario for s in states], state.spec.mm)
+    else:
+        bf, _ = aobf_imperfect_csi(state.cb, [s.indices() for s in states], *aux, state.spec.mm)
+    for s, cols in zip(states, np.split(bf.matrix, len(states), axis=1)):
+        s._cache[("aobf", csi, aux)] = BeamformerMatrix(np.ascontiguousarray(cols), bf.kind)
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
@@ -302,21 +323,41 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             if vs.n_bs not in codebooks:
                 codebooks[vs.n_bs] = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
 
-    def run_trial(trial: int) -> dict:
-        # sweep values that keep the array and K share one scenario draw and sweep
-        seed = spec.base_seed + trial
+    # every analog design a trial needs: (array and K, regime, (R, S))
+    designs = {}
+    for _, vs, _ in per_value:
+        for scheme in spec.schemes:
+            kind, csi = scheme.rsplit("-", 1)
+            if kind == "aobf":
+                designs[(vs.n_bs, vs.k), csi, (vs.r_count, vs.s_count)] = None
+
+    def draw(seed: int) -> dict:
+        # sweep values that keep the array and K share one scenario draw and
+        # sweep. Each draw is swept at once, before the next draw, so every
+        # beam_sweep call follows its own trial's random_scenario call, which
+        # is how benchmark/tracing.py attributes calls to trials.
         states: dict = {}
-        out = {}
-        for v, vs, sigma2 in per_value:
+        for _, vs, _ in per_value:
             key = (vs.n_bs, vs.k)
             if key not in states:
                 scenario = random_scenario(vs.array_config(), vs.k, spec.l, seed)
                 states[key] = _TrialState(spec, scenario, codebooks.get(vs.n_bs))
-            for scheme in spec.schemes:
-                out[(v, scheme)] = states[key].rate(scheme, sigma2, (vs.r_count, vs.s_count))
-        return out
+                if states[key].cb is not None:
+                    states[key].indices()
+        return states
 
-    per_trial = [run_trial(t) for t in range(spec.trials)]
+    per_trial = []
+    for first in range(0, spec.trials, TRIAL_CHUNK):
+        chunk = [draw(spec.base_seed + t)
+                 for t in range(first, min(first + TRIAL_CHUNK, spec.trials))]
+        for key, csi, aux in designs:
+            _design_aobf([states[key] for states in chunk], csi, aux)
+        for states in chunk:
+            per_trial.append({
+                (v, scheme): states[(vs.n_bs, vs.k)].rate(scheme, sigma2,
+                                                         (vs.r_count, vs.s_count))
+                for v, vs, sigma2 in per_value for scheme in spec.schemes
+            })
 
     rows: list[ResultRow] = []
     for v, vs, _ in per_value:

@@ -14,11 +14,15 @@ user the steering vectors at the auxiliary points around its swept codeword
 and starts at that codeword. The regimes differ only in these rows, the
 starting columns and the rule for mu.
 
-All K columns iterate together on one stack U of every user's rows:
-G F = U^T (W o (U^* F)) + F diag(omega mu), with W[r, k] = 1 on user k's rows
-and -omega elsewhere. No N x N matrix is formed, and an iteration costs about
-2 K (sum R) N multiply-adds in two matrix products. A column leaves the batch
-once it converges. The loop reads the objective trace off the low-rank part
+All K columns of a trial iterate together on one stack U of every user's
+rows: G F = U^T (W o (U^* F)) + F diag(omega mu), with W[r, k] = 1 on user
+k's rows and -omega elsewhere. No N x N matrix is formed, and an iteration
+costs about 2 K (sum R) N multiply-adds in two matrix products. Trials whose
+users have equal row counts iterate as one (T, N, K) batch through batched
+matrix products, each trial's slice its own product, so a trial's result is
+bit-identical to its design alone. A converged column is masked, keeping its
+own count, trace and value; a trial whose columns are all masked leaves the
+batch. The loop reads the objective trace off the low-rank part
 of that product: obj(f) = omega mu ||f||^2 - Re(f^H G f) = -Re(f^H U^T (W o U^* f)),
 so no term of size omega mu is subtracted.
 """
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import Scenario
 from .codebook import (
     AuxiliaryGrid,
     CodewordIndex,
@@ -74,12 +79,14 @@ class MMConfig:
 
 @dataclass
 class MMReport:
-    """Per-user diagnostics of one design run.
+    """Per-column diagnostics of one design run.
 
-    objective_trace[k][0] is the objective at the initial point, followed by
-    one value per iteration of user k's column, so its length is
-    iterations_used[k] + 1. The columns iterate as one batch, and a converged
-    column leaves it, so none of these fields depends on the other users'
+    Entry c is column c of the design's matrix: user k of trial t at
+    c = t K + k, so a one-trial design has one entry per user.
+    objective_trace[c][0] is the objective at the initial point, followed by
+    one value per iteration of column c, so its length is
+    iterations_used[c] + 1. The columns iterate as one batch, and a converged
+    column is masked, so none of these fields depends on the other columns'
     iteration counts. With spectral mu the trace is nonincreasing.
     """
 
@@ -88,60 +95,71 @@ class MMReport:
     converged: list[bool] = field(default_factory=list)
 
 
-def _row_power(u: np.ndarray) -> float:
-    return float(np.sum(np.abs(u) ** 2))
+def _row_powers(rows: np.ndarray) -> np.ndarray:
+    """(T, K) squared norm of each user's row stack in the (T, K, R, N) rows."""
+    return np.sum(np.abs(rows.reshape(*rows.shape[:2], -1)) ** 2, axis=-1)
 
 
-def _top_gram_eigenvalue(rows: np.ndarray) -> float:
-    """Largest eigenvalue of Z = V^T V^* for the (M, N) row stack V.
+def _top_gram_eigenvalue(rows: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of Z = V^T V^* for each (M, N) row stack V in rows.
 
     Z and the (M, M) Gram V^* V^T share their nonzero eigenvalues, so the
     smaller of the two is decomposed: with fewer rows than N no N x N matrix
-    is formed.
+    is formed. Leading axes of rows are batch axes.
     """
-    m, n = rows.shape
-    gram = rows.conj() @ rows.T if m < n else rows.T @ rows.conj()
-    return float(np.linalg.eigvalsh(gram)[-1])
+    m, n = rows.shape[-2:]
+    gram = rows.conj() @ rows.mT if m < n else rows.mT @ rows.conj()
+    return np.linalg.eigvalsh(gram)[..., -1]
 
 
-# mu rules: the other users' row stacks -> mu
+# mu rules: the (T, K-1, R, N) rows of the other users -> (T,) mu; the
+# spectral perfect-CSI sum adds the users' powers one by one, in order
 _PERFECT_MU = {
-    MU_SPECTRAL: lambda others: sum(_row_power(u) for u in others),
-    MU_PAPER_EXACT: lambda others: max(_row_power(u) for u in others) * len(others),
+    MU_SPECTRAL: lambda others: sum(_row_powers(others).T),
+    MU_PAPER_EXACT: lambda others: _row_powers(others).max(axis=1) * others.shape[1],
 }
 _IMPERFECT_MU = {
-    MU_SPECTRAL: lambda others: _top_gram_eigenvalue(np.concatenate(others)),
-    MU_PAPER_EXACT: lambda others: sum(u.shape[0] for u in others) / others[0].shape[1],
+    MU_SPECTRAL: lambda others: _top_gram_eigenvalue(
+        others.reshape(others.shape[0], -1, others.shape[-1])),
+    MU_PAPER_EXACT: lambda others: np.full(
+        others.shape[0], others.shape[1] * others.shape[2] / others.shape[3]),
 }
 
 
 class _UpdateProduct:
-    """Every user's G_k f_k at once, from one stack of all users' rows.
+    """Every user's G_k f_k at once, for every trial of a batch.
 
-    With U the (sum R, N) concatenation of the per-user stacks and W[r, k] = 1
-    where row r is user k's and -omega otherwise,
-    G F = U^T (W o (U^* F)) + F diag(omega mu), column k being G_k f_k; no
-    N x N matrix is formed. Columns are selected by passing the matching
-    columns of weights and shift.
+    rows is (T, K, R, N): user k of trial t has the R rows rows[t, k]. With U
+    a trial's (K R, N) stack of rows and W[r, k] = 1 where row r is user k's
+    and -omega otherwise, G F = U^T (W o (U^* F)) + F diag(omega mu), column k
+    being G_k f_k; no N x N matrix is formed. Each trial's slice is its own
+    matrix product, so no trial's columns reach another's.
     """
 
-    def __init__(self, stacks: list[np.ndarray], omega: float, mu_rule):
-        rows = np.concatenate(stacks)
-        owner = np.repeat(np.arange(len(stacks)), [u.shape[0] for u in stacks])
-        self.rows_conj = rows.conj()
-        self.rows_t = rows.T
-        own = owner[:, None] == np.arange(len(stacks))
+    def __init__(self, rows: np.ndarray, omega: float, mu_rule):
+        # C order whatever the rows' layout, so every trial count takes the
+        # same BLAS and SIMD paths
+        rows = np.ascontiguousarray(rows)
+        t_count, k_users, r_count, n = rows.shape
+        self.stack = rows.reshape(t_count, k_users * r_count, n)
+        self.rows_conj = self.stack.conj()
+        own = np.repeat(np.arange(k_users), r_count)[:, None] == np.arange(k_users)
         # complex, so the product's elementwise step casts nothing
         self.weights = np.where(own, 1.0, -omega).astype(complex)
         # mu = 0 without interferers
-        mu = [mu_rule([u for i, u in enumerate(stacks) if i != k]) if len(stacks) > 1 else 0.0
-              for k in range(len(stacks))]
-        self.shift = omega * np.array(mu)
+        mu = [mu_rule(np.delete(rows, k, axis=1)) if k_users > 1 else np.zeros(t_count)
+              for k in range(k_users)]
+        self.shift = omega * np.stack(mu, axis=-1)[:, None, :]
 
-    def __call__(self, f: np.ndarray, weights: np.ndarray, shift: np.ndarray) -> tuple:
-        """(G F - F diag(omega mu), G F) for the columns f."""
-        low = self.rows_t @ (weights * (self.rows_conj @ f))
-        return low, low + f * shift
+    def keep(self, trials: np.ndarray) -> None:
+        """Drop every trial whose entry in the boolean mask is False."""
+        self.stack, self.rows_conj = self.stack[trials], self.rows_conj[trials]
+        self.shift = self.shift[trials]
+
+    def __call__(self, f: np.ndarray) -> tuple:
+        """(G F - F diag(omega mu), G F) for the (T, N, K) columns f."""
+        low = self.stack.mT @ (self.weights * (self.rows_conj @ f))
+        return low, low + f * self.shift
 
 
 def _project(gf: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -152,59 +170,67 @@ def _project(gf: np.ndarray, f: np.ndarray) -> np.ndarray:
     """
     mag = np.abs(gf)
     out = f.astype(complex)
-    np.divide(gf, mag * np.sqrt(f.shape[0]), out=out, where=mag > 0)
+    np.divide(gf, mag * np.sqrt(f.shape[-2]), out=out, where=mag > 0)
     return out
 
 
-def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a_k^H b_k) for every column k."""
-    return np.einsum("ij,ij->j", a.conj(), b).real
-
-
-def _design(stacks: list[np.ndarray], starts: list[np.ndarray], cfg: MMConfig,
+def _design(rows: np.ndarray, starts: np.ndarray, cfg: MMConfig,
             mu_rules: dict) -> tuple[BeamformerMatrix, MMReport]:
-    """Iterate every user's column together from its start.
+    """Iterate every column of every trial together from its start.
 
-    A column leaves the batch once its squared step is <= epsilon, so its
-    iteration count, trace and returned value are its own.
+    rows is (T, K, R, N) and starts (T, N, K). A column whose squared step is
+    <= epsilon is masked: its count, trace and returned value are fixed there
+    while its trial's other columns iterate. A trial leaves the batch once
+    all its columns are masked. The matrix is (N, T K), trial-major, and the
+    report holds one entry per column in that order.
     """
-    product = _UpdateProduct(stacks, cfg.omega, mu_rules[cfg.mu_mode])
-    cols = np.stack(starts, axis=1).astype(complex)
-    k_users = cols.shape[1]
-    used = np.full(k_users, cfg.t_max)
-    converged = np.zeros(k_users, dtype=bool)
-    # the active columns and their slices of the product's inputs
-    ids, f, weights, shift = np.arange(k_users), cols, product.weights, product.shift
-    low, gf = product(f, weights, shift)
-    obj = -_column_inner(f, low)
-    rows = [obj]
+    product = _UpdateProduct(rows, cfg.omega, mu_rules[cfg.mu_mode])
+    f = np.ascontiguousarray(starts, dtype=complex)
+    t_count, n, k_users = f.shape
+    cols = f.copy()
+    used = np.full((t_count, k_users), cfg.t_max)
+    converged = np.zeros((t_count, k_users), dtype=bool)
+    # a live column's step is held to epsilon, a masked one's to -1, which no step meets
+    bar = np.full((t_count, k_users), float(cfg.epsilon))
+    ids = np.arange(t_count)  # the trials still in the batch
+    low, gf = product(f)
+    rows_of_trace = [-np.vecdot(f, low, axis=-2).real]
     for t in range(1, cfg.t_max + 1):
         f_new = _project(gf, f)
         diff = f_new - f
-        step = _column_inner(diff, diff)
+        step = np.vecdot(diff, diff, axis=-2).real
         f = f_new
-        low, gf = product(f, weights, shift)
-        obj = obj.copy()
-        obj[ids] = -_column_inner(f, low)
-        rows.append(obj)
-        if step.min() <= cfg.epsilon:
-            done = step <= cfg.epsilon
-            cols[:, ids[done]] = f[:, done]
-            used[ids[done]] = t
-            converged[ids[done]] = True
-            keep = ~done
-            ids, f, gf = ids[keep], f[:, keep], gf[:, keep]
-            weights, shift = weights[:, keep], shift[keep]
-            if not ids.size:
-                break
-    cols[:, ids] = f
-    trace = np.array(rows)
+        low, gf = product(f)
+        obj = -np.vecdot(f, low, axis=-2).real
+        if ids.size < t_count:
+            # a trial that left keeps its last values; they lie past its counts
+            full = rows_of_trace[-1].copy()
+            full[ids] = obj
+            obj = full
+        rows_of_trace.append(obj)
+        done = step <= bar
+        if done.any():
+            trial, col = np.nonzero(done)
+            cols[ids[trial], :, col] = f[trial, :, col]
+            used[ids[trial], col] = t
+            converged[ids[trial], col] = True
+            bar[done] = -1.0
+            stay = (bar >= 0).any(axis=1)
+            if not stay.all():
+                ids, f, gf, bar = ids[stay], f[stay], gf[stay], bar[stay]
+                if not ids.size:
+                    break
+                product.keep(stay)
+    trial, col = np.nonzero(bar >= 0)
+    cols[ids[trial], :, col] = f[trial, :, col]
+    trace = np.array(rows_of_trace)
     report = MMReport(
-        iterations_used=used.tolist(),
-        objective_trace=[trace[: u + 1, k].copy() for k, u in enumerate(used)],
-        converged=converged.tolist(),
+        iterations_used=used.ravel().tolist(),
+        objective_trace=[trace[: u + 1, i, k].copy() for (i, k), u in np.ndenumerate(used)],
+        converged=converged.ravel().tolist(),
     )
-    return BeamformerMatrix(matrix=cols, kind=ANALOG_ONLY), report
+    matrix = cols.transpose(1, 0, 2).reshape(n, t_count * k_users)
+    return BeamformerMatrix(matrix=matrix, kind=ANALOG_ONLY), report
 
 
 def _checked_stacks(stacks, k: int) -> list[np.ndarray]:
@@ -234,14 +260,14 @@ def slnr_objective(h_all, f_col, k: int, omega: float) -> float:
 def _single_step(stacks, f_col, k: int, cfg: MMConfig, mu_rules: dict) -> np.ndarray:
     """One update of user k's column through a design's first K-wide product.
 
-    Every column of the batch holds f_col and column k is returned, so the
-    result is bit-equal to column k of a design's first iteration from f_col.
+    Every column of a one-trial batch holds f_col and column k is returned, so
+    the result is bit-equal to column k of a design's first iteration from f_col.
     """
     stacks = _checked_stacks(stacks, k)
-    product = _UpdateProduct(stacks, cfg.omega, mu_rules[cfg.mu_mode])
-    f = np.repeat(np.asarray(f_col, dtype=complex)[:, None], len(stacks), axis=1)
-    _, gf = product(f, product.weights, product.shift)
-    return _project(gf, f)[:, k]
+    product = _UpdateProduct(np.stack(stacks)[None], cfg.omega, mu_rules[cfg.mu_mode])
+    f = np.repeat(np.asarray(f_col, dtype=complex)[None, :, None], len(stacks), axis=2)
+    _, gf = product(f)
+    return _project(gf, f)[0, :, k]
 
 
 def mm_update_perfect(h_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
@@ -258,35 +284,46 @@ def mm_update_imperfect(aux_vectors_all, f_col, k: int, cfg: MMConfig) -> np.nda
     return _single_step(aux_vectors_all, f_col, k, cfg, _IMPERFECT_MU)
 
 
-def aobf_perfect_csi(scenario, cfg: MMConfig | None = None) -> tuple[BeamformerMatrix, MMReport]:
-    """Design all K analog columns from exact channels.
+def aobf_perfect_csi(scenarios, cfg: MMConfig | None = None) -> tuple[BeamformerMatrix, MMReport]:
+    """Design all K analog columns of one trial, or of a batch of trials, from exact channels.
 
-    Each column starts at the conjugate-phase beamformer of its user's channel
-    and iterates the MM update until the squared step norm drops to epsilon or
-    t_max is hit.
+    scenarios is one Scenario, giving an (N, K) matrix, or a sequence of T
+    scenarios with equal N and K, giving an (N, T K) trial-major matrix whose
+    trial t equals that trial designed alone, bit for bit. Each column starts
+    at the conjugate-phase beamformer of its user's channel and iterates the
+    MM update until the squared step norm drops to epsilon or t_max is hit.
     """
-    hh = scenario.channel_matrix()
-    n = hh.shape[0]
-    starts = [np.exp(1j * np.angle(h)) / np.sqrt(n) for h in hh.T]
-    return _design(_perfect_stacks(hh.T), starts, cfg or MMConfig(), _PERFECT_MU)
+    if isinstance(scenarios, Scenario):
+        scenarios = [scenarios]
+    hh = np.stack([sc.channel_matrix() for sc in scenarios])
+    starts = np.exp(1j * np.angle(hh)) / np.sqrt(hh.shape[1])
+    return _design(hh.mT[:, :, None, :], starts, cfg or MMConfig(), _PERFECT_MU)
 
 
 def aobf_imperfect_csi(
     cb: PolarCodebook,
-    indices: list[CodewordIndex],
+    indices: list,
     r_count: int,
     s_count: int,
     cfg: MMConfig | None = None,
 ) -> tuple[BeamformerMatrix, MMReport]:
-    """Design all K analog columns from swept codeword indices.
+    """Design all K analog columns of one trial, or of a batch of trials, from swept codewords.
 
-    Column k starts at the selected codeword, and iterates the MM update on
-    steering vectors at the R x S auxiliary points of each user's cell. Fully
-    deterministic given inputs.
+    indices is one trial's K CodewordIndex values, giving an (N, K) matrix, or
+    a sequence of T such lists of equal length, giving an (N, T K)
+    trial-major matrix whose trial t equals that trial designed alone, bit
+    for bit. Column k starts at the selected codeword, and iterates the MM
+    update on steering vectors at the R x S auxiliary points of each user's
+    cell. Fully deterministic given inputs.
     """
+    trials = [indices] if not indices or isinstance(indices[0], CodewordIndex) else indices
+    k_users = len(trials[0])
+    if any(len(trial) != k_users for trial in trials):
+        raise ValueError("every trial of a batch must have the same number of users")
     grids: list[AuxiliaryGrid] = [
-        auxiliary_points(cb, idx, r_count, s_count) for idx in indices
+        auxiliary_points(cb, idx, r_count, s_count) for trial in trials for idx in trial
     ]
     stacks = approximate_channel_matrices(cb, grids)
-    starts = [cb.codeword(idx).copy() for idx in indices]
-    return _design(stacks, starts, cfg or MMConfig(), _IMPERFECT_MU)
+    rows = np.stack(stacks).reshape(len(trials), k_users, r_count * s_count, -1)
+    starts = np.array([[cb.codeword(idx) for idx in trial] for trial in trials]).mT
+    return _design(rows, starts, cfg or MMConfig(), _IMPERFECT_MU)

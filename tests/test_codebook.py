@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import nfbf.codebook
 from nfbf.codebook import (
     CodewordIndex,
     approximate_channel_matrices,
@@ -15,7 +16,7 @@ from nfbf.codebook import (
     grid_angle,
     ring_radius,
 )
-from nfbf.geometry import ArrayConfig, nearfield_steering, rayleigh_distance
+from nfbf.geometry import ArrayConfig, nearfield_steering, rayleigh_distance, steering_matrix
 
 
 def test_grid_angle_first_bin_n4():
@@ -81,6 +82,23 @@ def test_codewords_are_steering_vectors():
         assert np.allclose(cb.codeword(idx), want, rtol=0, atol=1e-14)
     # every codeword keeps the analog constant modulus
     assert np.allclose(np.abs(cb.codewords), 1.0 / 4.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wavelength", [1.0, 0.01])
+@pytest.mark.parametrize("n, blocks", [(16, 1), (48, 3), (64, 6)])
+def test_blocked_build_equals_one_whole_grid_steering_call(n, blocks, wavelength, monkeypatch):
+    # the default 320 rings give 51, 17 and 12 angle rows per block, so N = 48
+    # and 64 end on a short block; the result is bit-equal to the whole grid
+    cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
+    calls = []
+    real = nfbf.codebook.steering_matrix
+    monkeypatch.setattr(nfbf.codebook, "steering_matrix",
+                        lambda *args: calls.append(1) or real(*args))
+    cb = build_codebook(cfg)
+    assert len(calls) == blocks
+    whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
+    assert cb.codewords.shape == whole.shape == (n, 320, n)
+    assert np.array_equal(cb.codewords, whole)
 
 
 def test_flat_is_row_major_in_p_then_q():

@@ -511,3 +511,66 @@ def test_zero_pilot_noise_solves_zero_forcing_once_per_regime(monkeypatch):
     table = run_experiment(spec)
     assert all(r.trials == spec.trials for r in table.rows)
     assert calls == {"hbf_zf": 2 * spec.trials, "effective_channel": 2 * spec.trials}
+
+
+def _counted(monkeypatch, names):
+    """Wrap each harness name so every call appends (name, args) to the returned log."""
+    log = []
+    for name in names:
+        real = getattr(nfbf.harness, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            log.append((_name, args))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(nfbf.harness, name, counted)
+    return log
+
+
+def test_aux_sweep_designs_each_grid_once_per_chunk(monkeypatch):
+    # 6 trials and 3 (R, S) values: one MM batch of all 6 trials per (R, S),
+    # 3 calls where a per-trial loop made 18
+    log = _counted(monkeypatch, ["aobf_imperfect_csi"])
+    spec = _tiny_spec(experiment="aux-sweep", schemes=("aobf-imperfect",), trials=6,
+                      sweep=(1, 2, 3))
+    run_experiment(spec)
+    assert [(len(args[1]), args[2:4]) for _, args in log] == [(6, (1, 1)), (6, (2, 2)),
+                                                              (6, (3, 3))]
+
+
+def test_snr_sweep_designs_each_regime_once_per_chunk(monkeypatch):
+    # 5 trials in chunks of 2: one perfect and one imperfect batch per chunk,
+    # whatever the number of SNR points, and the same CSV as one chunk of 5
+    spec = _tiny_spec(schemes=("aobf-perfect", "aobf-imperfect"), trials=5,
+                      sweep=(0.0, 10.0, 20.0))
+    whole = run_experiment(spec).to_csv()
+    log = _counted(monkeypatch, ["aobf_perfect_csi", "aobf_imperfect_csi"])
+    monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
+    assert run_experiment(spec).to_csv() == whole
+    assert [(name, len(args[0] if name == "aobf_perfect_csi" else args[1]))
+            for name, args in log] == [
+        ("aobf_perfect_csi", 2), ("aobf_imperfect_csi", 2),
+        ("aobf_perfect_csi", 2), ("aobf_imperfect_csi", 2),
+        ("aobf_perfect_csi", 1), ("aobf_imperfect_csi", 1),
+    ]
+
+
+def test_each_trials_sweeps_follow_its_own_draw(monkeypatch):
+    # two array sizes, so each trial draws twice: each draw is followed by
+    # one beam sweep per user, of that draw's channels, before any later draw
+    events = []
+    real_draw, real_sweep = nfbf.harness.random_scenario, nfbf.harness.beam_sweep
+    monkeypatch.setattr(nfbf.harness, "random_scenario",
+                        lambda *args: events.append(real_draw(*args)) or events[-1])
+    monkeypatch.setattr(nfbf.harness, "beam_sweep",
+                        lambda cb, h: events.append(h) or real_sweep(cb, h))
+    spec = _tiny_spec(experiment="sumrate-vs-nbs", schemes=("aobf-imperfect", "steer-imperfect"),
+                      trials=3, sweep=(8, 16))
+    run_experiment(spec)
+    k = spec.k
+    assert len(events) == (1 + k) * 2 * spec.trials
+    draws = events[:: 1 + k]
+    assert [(sc.seed, sc.array.n_bs) for sc in draws] == [(t, n) for t in range(3) for n in (8, 16)]
+    for i, scenario in enumerate(draws):
+        swept = events[i * (1 + k) + 1 : (i + 1) * (1 + k)]
+        assert all(h is u.vector for h, u in zip(swept, scenario.users, strict=True))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nfbf.mm
 from nfbf.channel import PathComponent, Scenario, make_user_channel, random_scenario
 from nfbf.codebook import (
     CodewordIndex,
@@ -14,7 +15,9 @@ from nfbf.codebook import (
 from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.metrics import ANALOG_ONLY
 from nfbf.mm import (
+    _PERFECT_MU,
     MMConfig,
+    _design,
     _top_gram_eigenvalue,
     aobf_imperfect_csi,
     aobf_perfect_csi,
@@ -499,37 +502,42 @@ def _dense_design(stacks, starts, cfg, regime):
     return out
 
 
-def _regime_runs(n, seed, rs_values, mm):
-    """(regime, batched design, dense oracle, support stacks, objective) per run."""
+def _regime_runs(n, seeds, rs_values, mm):
+    """Per run: (regime, one batched design of every seed, and per seed its
+    dense oracle and support stacks, objective)."""
     cfg = ArrayConfig(n_bs=n)
-    sc = random_scenario(cfg, 4, 3, seed=seed)
-    hh = sc.channel_matrix()
-    stacks = [h[None, :] for h in hh.T]
-    starts = [np.exp(1j * np.angle(h)) / np.sqrt(n) for h in hh.T]
-    runs = [("perfect", aobf_perfect_csi(sc, mm), _dense_design(stacks, starts, mm, "perfect"),
-             list(hh.T), slnr_objective)]
+    scs = [random_scenario(cfg, 4, 3, seed=seed) for seed in seeds]
+    channels = [list(sc.channel_matrix().T) for sc in scs]
+    dense = [_dense_design([h[None, :] for h in hs],
+                           [np.exp(1j * np.angle(h)) / np.sqrt(n) for h in hs], mm, "perfect")
+             for hs in channels]
+    runs = [("perfect", aobf_perfect_csi(scs, mm), dense, channels, slnr_objective)]
     if rs_values:
         cb = build_codebook(cfg, n_dis=40)
-        indices = [beam_sweep(cb, u.vector) for u in sc.users]
+        indices = [[beam_sweep(cb, u.vector) for u in sc.users] for sc in scs]
     for rs in rs_values:
-        aux = approximate_channel_matrices(cb, [auxiliary_points(cb, i, rs, rs) for i in indices])
-        starts = [cb.codeword(i) for i in indices]
-        runs.append(("imperfect", aobf_imperfect_csi(cb, indices, rs, rs, mm),
-                     _dense_design(aux, starts, mm, "imperfect"), aux, imperfect_objective))
+        aux = [approximate_channel_matrices(cb, [auxiliary_points(cb, i, rs, rs) for i in idx])
+               for idx in indices]
+        dense = [_dense_design(a, [cb.codeword(i) for i in idx], mm, "imperfect")
+                 for a, idx in zip(aux, indices)]
+        runs.append(("imperfect", aobf_imperfect_csi(cb, indices, rs, rs, mm), dense, aux,
+                     imperfect_objective))
     return runs
 
 
 @pytest.mark.parametrize("mu_mode", ["spectral", "paper-exact"])
 def test_batched_kernel_matches_the_dense_engine(mu_mode):
-    # same flags and iteration counts in both regimes; final objectives, each
-    # evaluated at the returned column, within 1e-9 relative
+    # seeds 0-2 as one batch; per seed, the same flags and iteration counts as
+    # the dense engine in both regimes, and final objectives, each evaluated at
+    # the returned column, within 1e-9 relative
     mm = MMConfig(mu_mode=mu_mode)
-    for seed in range(3):
-        for regime, (f, rep), dense, support, objective in _regime_runs(64, seed, (1, 4, 6), mm):
-            assert rep.converged == [d[3] for d in dense], (seed, regime)
-            assert rep.iterations_used == [d[1] for d in dense], (seed, regime)
-            for k, (col, _, _, _) in enumerate(dense):
-                got = objective(support, f.matrix[:, k], k, mm.omega)
+    for regime, (f, rep), dense, supports, objective in _regime_runs(64, range(3), (1, 4, 6), mm):
+        for seed, (oracle, support) in enumerate(zip(dense, supports)):
+            cols = slice(4 * seed, 4 * seed + 4)
+            assert rep.converged[cols] == [d[3] for d in oracle], (seed, regime)
+            assert rep.iterations_used[cols] == [d[1] for d in oracle], (seed, regime)
+            for k, (col, _, _, _) in enumerate(oracle):
+                got = objective(support, f.matrix[:, 4 * seed + k], k, mm.omega)
                 want = objective(support, col, k, mm.omega)
                 assert got == pytest.approx(want, rel=1e-9, abs=0), (seed, regime, k)
 
@@ -537,9 +545,10 @@ def test_batched_kernel_matches_the_dense_engine(mu_mode):
 def test_converged_columns_leave_the_batch():
     # perfect CSI at N = 64, seed 0: the users converge at different
     # iterations; each column's count, trace length and value are those of its
-    # own dense run, and a converged column is frozen while the others iterate
+    # own dense run, and a converged column is masked, its value fixed, while
+    # the others iterate
     mm = MMConfig()
-    [(_, (f, rep), dense, _, _)] = _regime_runs(64, 0, (), mm)
+    [(_, (f, rep), [dense], _, _)] = _regime_runs(64, [0], (), mm)
     assert len(set(rep.iterations_used)) == 4
     assert max(rep.iterations_used) < mm.t_max
     for k, (col, used, trace, _) in enumerate(dense):
@@ -552,6 +561,80 @@ def test_converged_columns_leave_the_batch():
     assert rep_cut.converged[first]
     assert np.array_equal(f_cut.matrix[:, first], f.matrix[:, first])
     assert np.array_equal(rep_cut.objective_trace[first], rep.objective_trace[first])
+
+
+def _assert_trial_equals_alone(f, rep, t, alone):
+    """Trial t of a batched design is bit-equal to the (f, rep) of its design alone."""
+    f1, rep1 = alone
+    k = f1.matrix.shape[1]
+    cols = slice(k * t, k * t + k)
+    assert np.array_equal(f.matrix[:, cols], f1.matrix), t
+    assert rep.iterations_used[cols] == rep1.iterations_used, t
+    assert rep.converged[cols] == rep1.converged, t
+    assert len(rep.objective_trace[cols]) == k
+    for got, want in zip(rep.objective_trace[cols], rep1.objective_trace):
+        assert np.array_equal(got, want), t
+
+
+@pytest.mark.parametrize("mu_mode", ["spectral", "paper-exact"])
+def test_each_trial_of_a_batch_equals_its_design_alone(mu_mode):
+    # five trials designed as one batch, in both regimes and at R = S = 1, 4,
+    # 6: each trial's columns, counts, flags and traces are bit-equal to that
+    # trial designed alone
+    mm = MMConfig(mu_mode=mu_mode)
+    cfg = ArrayConfig(n_bs=64)
+    cb = build_codebook(cfg, n_dis=40)
+    scs = [random_scenario(cfg, 4, 3, seed=seed) for seed in range(5)]
+    indices = [[beam_sweep(cb, u.vector) for u in sc.users] for sc in scs]
+    runs = [(aobf_perfect_csi(scs, mm), [aobf_perfect_csi(sc, mm) for sc in scs])]
+    for rs in (1, 4, 6):
+        runs.append((aobf_imperfect_csi(cb, indices, rs, rs, mm),
+                     [aobf_imperfect_csi(cb, idx, rs, rs, mm) for idx in indices]))
+    for (f, rep), alone in runs:
+        assert f.matrix.shape == (64, 20)
+        assert len(rep.iterations_used) == len(rep.converged) == 20
+        for t, one in enumerate(alone):
+            _assert_trial_equals_alone(f, rep, t, one)
+
+
+def test_a_converged_trial_leaves_the_batch(monkeypatch):
+    # perfect CSI at N = 64, seeds 0 and 1: seed 0's columns have all
+    # converged after a iterations, seed 1's after b > a; iterations 1..a
+    # project both trials, a+1..b seed 1's alone, and each trial equals its
+    # design alone
+    cfg = ArrayConfig(n_bs=64)
+    scs = [random_scenario(cfg, 4, 3, seed=seed) for seed in (0, 1)]
+    alone = [aobf_perfect_csi(sc) for sc in scs]
+    a, b = (max(rep.iterations_used) for _, rep in alone)
+    assert a < b < MMConfig().t_max
+    sizes = []
+    project = nfbf.mm._project
+    monkeypatch.setattr(nfbf.mm, "_project", lambda gf, f: sizes.append(len(f)) or project(gf, f))
+    f, rep = aobf_perfect_csi(scs)
+    assert sizes == [2] * a + [1] * (b - a)
+    for t, one in enumerate(alone):
+        _assert_trial_equals_alone(f, rep, t, one)
+
+
+def test_zero_update_entry_retains_previous_value_inside_a_batch():
+    # omega = 0, so G f = h (h^H f): trial 0's first user has h = 0 at entry 1,
+    # which keeps its starting value; trial 1 has no zero entry, and neither
+    # trial's columns depend on the other's
+    rng = np.random.default_rng(10)
+    h_zero = np.array([1.0, 0.0, 1.0j])
+    h = [[h_zero, rng.standard_normal(3) + 1j * rng.standard_normal(3)],
+         [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]]
+    rows = np.array(h)[:, :, None, :]
+    starts = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 3, 2))) / np.sqrt(3.0)
+    mm = MMConfig(omega=0.0)
+    f, rep = _design(rows, starts, mm, _PERFECT_MU)
+    assert f.matrix[1, 0] == starts[0, 1, 0]
+    assert abs(f.matrix[1, 0]) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+    assert np.all(f.matrix[[0, 2], 0] != starts[0, [0, 2], 0])
+    assert all(rep.converged)
+    for t in range(2):
+        _assert_trial_equals_alone(f, rep, t, _design(rows[t:t + 1], starts[t:t + 1], mm,
+                                                      _PERFECT_MU))
 
 
 @pytest.mark.parametrize("rs, gram_size", [(2, 12), (6, 64)])
