@@ -1,4 +1,4 @@
-"""Frozen golden files: seeds, draws and every scheme's numbers, byte for byte.
+"""Frozen golden files: seeds, draws, every scheme's numbers and the codebook's bits.
 
 Run-against-run comparisons cannot see a change that moves every run alike;
 these files can. A change that moves the numbers on purpose re-freezes them
@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from nfbf.codebook import build_codebook
+from nfbf.geometry import ArrayConfig
 from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -49,6 +51,27 @@ def pattern_digest(spec):
     return f"{res.gain_table()}\nto_csv sha256 {sha}\n"
 
 
+CODEBOOK_GOLDEN = "codebook_sha256.txt"
+# the default 320 rings and beta = 1.6; the last array has a non-default spacing
+# and a wavelength whose division takes the complex path
+CODEBOOK_ARRAYS = (
+    ArrayConfig(n_bs=16),
+    ArrayConfig(n_bs=64),
+    ArrayConfig(n_bs=16, wavelength=0.01, spacing=0.7),
+)
+
+
+def codebook_digest(arrays):
+    """One line per array: its parameters and the SHA-256 of its codeword bytes."""
+    lines = []
+    for cfg in arrays:
+        cb = build_codebook(cfg)
+        sha = hashlib.sha256(cb.codewords.tobytes()).hexdigest()
+        lines.append(f"n_bs={cfg.n_bs} wavelength={cfg.wavelength!r} spacing={cfg.spacing!r} "
+                     f"n_dis={cb.n_dis} beta={cb.beta!r} sha256 {sha}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_golden_csv_is_byte_identical(name):
     want = (GOLDEN_DIR / name).read_text()
@@ -57,6 +80,10 @@ def test_golden_csv_is_byte_identical(name):
 
 def test_golden_beam_pattern_is_identical():
     assert pattern_digest(PATTERN_SPEC) == (GOLDEN_DIR / PATTERN_GOLDEN).read_text()
+
+
+def test_golden_codebook_is_bit_identical():
+    assert codebook_digest(CODEBOOK_ARRAYS) == (GOLDEN_DIR / CODEBOOK_GOLDEN).read_text()
 
 
 def _keyed_rows(text):
@@ -114,12 +141,13 @@ if __name__ == "__main__":
         for line in lines:
             print(f"  {line}")
         path.write_text(csv_text)
-    path = GOLDEN_DIR / PATTERN_GOLDEN
-    text = pattern_digest(PATTERN_SPEC)
-    old_text = path.read_text() if path.exists() else ""
-    diff = difflib.ndiff(old_text.splitlines(), text.splitlines())
-    lines = [d for d in diff if d[:2] in ("- ", "+ ")]
-    print(f"{PATTERN_GOLDEN}: {len(lines)} changed line(s)")
-    for line in lines:
-        print(f"  {line}")
-    path.write_text(text)
+    for name, text in ((PATTERN_GOLDEN, pattern_digest(PATTERN_SPEC)),
+                       (CODEBOOK_GOLDEN, codebook_digest(CODEBOOK_ARRAYS))):
+        path = GOLDEN_DIR / name
+        old_text = path.read_text() if path.exists() else ""
+        diff = difflib.ndiff(old_text.splitlines(), text.splitlines())
+        lines = [d for d in diff if d[:2] in ("- ", "+ ")]
+        print(f"{name}: {len(lines)} changed line(s)")
+        for line in lines:
+            print(f"  {line}")
+        path.write_text(text)
