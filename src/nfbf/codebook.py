@@ -10,6 +10,8 @@ a surrogate channel support for imperfect-CSI beamformer design.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +20,15 @@ from .geometry import ArrayConfig, PolarCoord, steering_matrix
 
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
-# build_codebook fills the codewords one block of angle rows at a time, so its
-# distance, phase and exp temporaries hold about this many entries each, not
-# the whole N x N_DIS x N grid.
-_BLOCK_ENTRIES = 1 << 18
+# build_codebook fills the codewords in tiles of one angle row and at most this
+# many entries, written in place, so each tile's distance temporaries stay
+# small; larger blocks left freed temporaries in the worker threads' malloc
+# arenas, which the trials after the build did not reuse.
+_TILE_ENTRIES = 1 << 15
+# one worker per CPU this process may run on; numpy releases the GIL inside
+# the elementwise loops that fill a tile
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,17 @@ def build_codebook(
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
     codewords = np.empty((n, n_dis, n), dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // (n_dis * n))
-    for lo in range(0, n, rows):
-        codewords[lo : lo + rows] = steering_matrix(cfg, angles[lo : lo + rows, None],
-                                                    radii[lo : lo + rows])
+    rings = max(1, _TILE_ENTRIES // n)
+
+    def fill(tile):
+        p, lo = tile
+        steering_matrix(cfg, angles[p], radii[p, lo : lo + rings],
+                        out=codewords[p, lo : lo + rings])
+
+    tiles = [(p, lo) for p in range(n) for lo in range(0, n_dis, rings)]
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        for _ in pool.map(fill, tiles):  # reading each result raises a tile's error
+            pass
     return PolarCodebook(
         array=cfg, n_dis=n_dis, beta=beta, angles=angles, radii=radii, codewords=codewords
     )

@@ -91,17 +91,21 @@ def element_distance(cfg: ArrayConfig, p: PolarCoord, n: int) -> float:
     return float(element_distances(cfg, p.angle, p.radius)[n - 1])
 
 
-def steering_matrix(cfg: ArrayConfig, angles, radii) -> np.ndarray:
+def steering_matrix(cfg: ArrayConfig, angles, radii, out: np.ndarray | None = None) -> np.ndarray:
     """Spherical-wave steering vectors for sources at (angles, radii).
 
     Codewords, auxiliary stacks and beam patterns all come from this formula.
     angles and radii broadcast; entry [..., n-1] of the broadcast shape + (N,)
     result is (1/sqrt(N)) exp(-j 2 pi dist_n / wavelength): unit norm, constant
-    entry modulus 1/sqrt(N).
+    entry modulus 1/sqrt(N). Given out, a complex array of that shape, the
+    phase, exp and scaling are written into it and out is returned; the bits
+    are the same as without it.
     """
-    # no name holds the real distances, so they are freed before exp allocates
-    phase = -2j * np.pi * element_distances(cfg, angles, radii) / cfg.wavelength
-    return np.exp(phase) / np.sqrt(cfg.n_bs)
+    out = np.multiply(-2j * np.pi, element_distances(cfg, angles, radii), out=out)
+    out /= cfg.wavelength
+    np.exp(out, out=out)
+    out /= np.sqrt(cfg.n_bs)
+    return out
 
 
 def nearfield_steering(cfg: ArrayConfig, p: PolarCoord) -> np.ndarray:

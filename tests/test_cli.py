@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,17 @@ def test_codebook_export(tmp_path):
     assert len(lines) == 1 + 8 * 320
     code2, _, err = _run(["codebook", "--nbs", "8"])
     assert code2 == 2 and "needs --out" in err
+
+
+def test_module_form_runs_without_installing(tmp_path):
+    out = tmp_path / "cb.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "nfbf", "codebook", "--nbs", "4", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 1 + 4 * 320
 
 
 def test_pattern_prints_gain_table(tmp_path):

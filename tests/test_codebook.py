@@ -1,6 +1,7 @@
 """Tests for the polar codebook, beam sweeping, and auxiliary points."""
 
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -85,20 +86,57 @@ def test_codewords_are_steering_vectors():
 
 
 @pytest.mark.parametrize("wavelength", [1.0, 0.01])
-@pytest.mark.parametrize("n, blocks", [(16, 1), (48, 3), (64, 6)])
-def test_blocked_build_equals_one_whole_grid_steering_call(n, blocks, wavelength, monkeypatch):
-    # the default 320 rings give 51, 17 and 12 angle rows per block, so N = 48
-    # and 64 end on a short block; the result is bit-equal to the whole grid
+@pytest.mark.parametrize("n, tile_entries, tiles", [
+    # the default 2^15-entry tiles hold a whole row of 320 rings up to N = 102
+    (16, 1 << 15, 16), (48, 1 << 15, 48), (64, 1 << 15, 64),
+    # 1100 entries hold 22 rings at N = 48: 15 tiles a row, the last of 12 rings
+    (48, 1100, 48 * 15),
+])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocked_build_equals_one_whole_grid_steering_call(
+    workers, n, tile_entries, tiles, wavelength, monkeypatch
+):
     cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
-    calls = []
+    shapes = []
     real = nfbf.codebook.steering_matrix
+    monkeypatch.setattr(nfbf.codebook, "_WORKERS", workers)
+    monkeypatch.setattr(nfbf.codebook, "_TILE_ENTRIES", tile_entries)
     monkeypatch.setattr(nfbf.codebook, "steering_matrix",
-                        lambda *args: calls.append(1) or real(*args))
+                        lambda *args, **kwargs: shapes.append(kwargs["out"].shape)
+                        or real(*args, **kwargs))
     cb = build_codebook(cfg)
-    assert len(calls) == blocks
+    assert len(shapes) == tiles
+    # the tiles' rings add up to the grid, whatever np.empty left in the rest
+    assert sum(rings for rings, _ in shapes) == n * 320
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
     assert cb.codewords.shape == whole.shape == (n, 320, n)
     assert np.array_equal(cb.codewords, whole)
+
+
+def test_build_leaves_no_worker_thread_running(monkeypatch):
+    monkeypatch.setattr(nfbf.codebook, "_WORKERS", 3)
+    before = threading.active_count()
+    build_codebook(ArrayConfig(n_bs=16))
+    assert threading.active_count() == before
+
+
+def test_an_error_in_one_tile_propagates(monkeypatch):
+    class TileError(RuntimeError):
+        pass
+
+    cfg = ArrayConfig(n_bs=16)
+    bad_angle = grid_angle(16, 9)
+    real = nfbf.codebook.steering_matrix
+
+    def steer(cfg, angles, radii, out=None):
+        if angles == bad_angle:
+            raise TileError
+        return real(cfg, angles, radii, out=out)
+
+    monkeypatch.setattr(nfbf.codebook, "_WORKERS", 2)
+    monkeypatch.setattr(nfbf.codebook, "steering_matrix", steer)
+    with pytest.raises(TileError):
+        build_codebook(cfg)
 
 
 def test_flat_is_row_major_in_p_then_q():

@@ -150,6 +150,25 @@ def test_steering_matrix_matches_cartesian_oracle():
                 )
 
 
+@pytest.mark.parametrize("wavelength", [1.0, 0.01])  # 0.01 divides on the complex path
+def test_steering_matrix_out_is_filled_in_place_with_the_same_bits(wavelength):
+    cfg = ArrayConfig(n_bs=16, wavelength=wavelength)
+    rng = np.random.default_rng(23)
+    radii = rng.uniform(1.0, 300.0, (4, 5)) * wavelength
+    cases = [  # scalar point, (P, 1) x (P, Q) as in a codebook, () x (Q,) as in a codebook tile
+        (0.3, 7.0 * wavelength),
+        (rng.uniform(-1.5, 1.5, (4, 1)), radii),
+        (np.float64(-0.6), radii[1]),
+    ]
+    for a, r in cases:
+        # the call without out keeps the allocating formula, bit for bit
+        want = np.exp(-2j * np.pi * element_distances(cfg, a, r) / wavelength) / np.sqrt(16)
+        assert np.array_equal(steering_matrix(cfg, a, r), want)
+        out = np.full(want.shape, np.nan, dtype=complex)
+        assert steering_matrix(cfg, a, r, out=out) is out
+        assert np.array_equal(out, want)
+
+
 def test_element_distance_index_bounds():
     cfg = ArrayConfig(n_bs=4)
     p = PolarCoord(0.0, 5.0)
