@@ -20,10 +20,10 @@ from .geometry import ArrayConfig, PolarCoord, steering_matrix
 
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
-# build_codebook fills the codewords in tiles of one angle row and at most this
-# many entries, written in place, so each tile's distance temporaries stay
-# small; larger blocks left freed temporaries in the worker threads' malloc
-# arenas, which the trials after the build did not reuse.
+# build_codebook fills the codewords in place, in tiles of one angle row and at
+# most this many entries, so each tile's distance temporaries stay small:
+# memory a worker thread frees stays in its own malloc arena, where the trials
+# after the build cannot reuse it.
 _TILE_ENTRIES = 1 << 15
 # one worker per CPU this process may run on; numpy releases the GIL inside
 # the elementwise loops that fill a tile
