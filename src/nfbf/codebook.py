@@ -29,6 +29,10 @@ _TILE_ENTRIES = 1 << 15
 # the elementwise loops that fill a tile
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# where build_codebook reads the memory it may fill: the kernel's estimate of
+# allocatable memory, and the cgroup v2 and v1 limits
+_MEMINFO = "/proc/meminfo"
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 @dataclass(frozen=True)
@@ -108,15 +112,43 @@ def ring_radius(cfg: ArrayConfig, sin_angle, q, beta: float) -> np.ndarray:
     return _ring_scale(cfg, beta) * (1.0 - sin_angle**2) / q
 
 
+def _available_memory() -> int | None:
+    """Bytes this process may still allocate: the smaller of MemAvailable and
+    the cgroup memory limit, each where readable; None where neither is."""
+    found = []
+    try:
+        with open(_MEMINFO) as fh:
+            found += [int(line.split()[1]) * 1024 for line in fh
+                      if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as fh:
+                found.append(int(fh.read()))  # v2 writes "max" where there is no limit
+        except (OSError, ValueError):
+            pass
+    return min(found) if found else None
+
+
 def build_codebook(
     cfg: ArrayConfig, n_dis: int = DEFAULT_N_DIS, beta: float = DEFAULT_BETA
 ) -> PolarCodebook:
-    """Construct the polar codebook for the given array."""
+    """Construct the polar codebook for the given array.
+
+    A codebook larger than the memory available is a ValueError, raised
+    before anything is allocated.
+    """
     if n_dis < 1:
         raise ValueError("n_dis must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
     n = cfg.n_bs
+    need = n * n_dis * n * np.dtype(complex).itemsize
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ValueError(f"the codebook of N = {n} with {n_dis} rings needs {need / 1e9:.3g} GB, "
+                         f"more than the {available / 1e9:.3g} GB of memory available")
     angles = grid_angle(n, np.arange(1, n + 1))
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)

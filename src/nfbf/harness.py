@@ -187,6 +187,11 @@ def _est_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng((_EST_STREAM, seed))
 
 
+def _pilot_noise(spec: ExperimentSpec, csi: str, sigma2: float) -> float:
+    """Pilot-noise power of a regime's effective channel at noise power sigma2."""
+    return spec.pilot_noise_factor * sigma2 if csi == "imperfect" else 0.0
+
+
 def _needs_codebook(schemes) -> bool:
     return any(s.endswith("-imperfect") for s in schemes)
 
@@ -250,9 +255,15 @@ class _TrialState:
     def zf(self, csi: str, sigma_e2: float):
         return hbf_zf(self.steering(csi), self.eff(csi, sigma_e2))
 
-    @_per_trial
     def wmmse(self, csi: str, sigma_e2: float, sigma2: float):
-        return hbf_wmmse(self.steering(csi), self.eff(csi, sigma_e2), self.spec.p, sigma2)[0]
+        """WMMSE hybrid design of one regime at pilot-noise power sigma_e2 and noise sigma2.
+
+        run_experiment solves a chunk's problems as one batch beforehand; a
+        problem solved alone is a batch of one.
+        """
+        if ("wmmse", csi, sigma_e2, sigma2) not in self._cache:
+            _design_wmmse([self], [(csi, sigma_e2, sigma2)])
+        return self._cache[("wmmse", csi, sigma_e2, sigma2)]
 
     def beamformer(self, scheme: str, sigma2: float, aux: tuple[int, int]):
         """Beamformer matrix for metrics; may raise SingularEffectiveChannelError."""
@@ -261,7 +272,7 @@ class _TrialState:
             return self.steering(csi)
         if kind == "aobf":
             return self.aobf(csi, aux)
-        sigma_e2 = self.spec.pilot_noise_factor * sigma2 if csi == "imperfect" else 0.0
+        sigma_e2 = _pilot_noise(self.spec, csi, sigma2)
         if kind == "hbf-zf":
             return self.zf(csi, sigma_e2).composite
         return self.wmmse(csi, sigma_e2, sigma2).composite
@@ -286,6 +297,23 @@ def _design_aobf(states: list[_TrialState], csi: str, aux: tuple[int, int]) -> N
         bf, _ = aobf_imperfect_csi(state.cb, [s.indices() for s in states], *aux, state.spec.mm)
     for s, cols in zip(states, np.split(bf.matrix, len(states), axis=1)):
         s._cache[("aobf", csi, aux)] = BeamformerMatrix(np.ascontiguousarray(cols), bf.kind)
+
+
+def _design_wmmse(states: list[_TrialState], problems: list[tuple[str, float, float]]) -> None:
+    """Solve every state's (regime, sigma_e2, sigma2) WMMSE problems not yet
+    cached as one hbf_wmmse batch and cache each problem's HybridBeamformer on
+    its state. The states share N and K, so the problems stack."""
+    todo = [(s, key) for s in states for key in problems if ("wmmse", *key) not in s._cache]
+    if not todo:
+        return
+    hybrid, _ = hbf_wmmse(
+        [s.steering(csi) for s, (csi, _, _) in todo],
+        [s.eff(csi, sigma_e2) for s, (csi, sigma_e2, _) in todo],
+        states[0].spec.p,
+        [sigma2 for _, (_, _, sigma2) in todo],
+    )
+    for (s, key), hb in zip(todo, hybrid.split()):
+        s._cache[("wmmse", *key)] = hb
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
@@ -323,13 +351,17 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             if vs.n_bs not in codebooks:
                 codebooks[vs.n_bs] = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
 
-    # every analog design a trial needs: (array and K, regime, (R, S))
+    # every analog design a trial needs: (array and K, regime, (R, S)); and
+    # per array and K, every WMMSE problem: (regime, pilot-noise power, noise)
     designs = {}
-    for _, vs, _ in per_value:
+    wmmse = collections.defaultdict(dict)
+    for _, vs, sigma2 in per_value:
         for scheme in spec.schemes:
             kind, csi = scheme.rsplit("-", 1)
             if kind == "aobf":
                 designs[(vs.n_bs, vs.k), csi, (vs.r_count, vs.s_count)] = None
+            elif kind == "hbf-wmmse":
+                wmmse[(vs.n_bs, vs.k)][csi, _pilot_noise(spec, csi, sigma2), sigma2] = None
 
     def draw(seed: int) -> dict:
         # sweep values that keep the array and K share one scenario draw and
@@ -352,6 +384,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                  for t in range(first, min(first + TRIAL_CHUNK, spec.trials))]
         for key, csi, aux in designs:
             _design_aobf([states[key] for states in chunk], csi, aux)
+        for key, problems in wmmse.items():
+            _design_wmmse([states[key] for states in chunk], list(problems))
         for states in chunk:
             per_trial.append({
                 (v, scheme): states[(vs.n_bs, vs.k)].rate(scheme, sigma2,

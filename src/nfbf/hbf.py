@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodewordIndex, PolarCodebook
-from .metrics import ANALOG_ONLY, HYBRID_COMPOSITE, BeamformerMatrix, channel_sum_rate
+from .metrics import ANALOG_ONLY, HYBRID_COMPOSITE, BeamformerMatrix, channel_sum_rates
 
 COND_LIMIT = 1e12
 
@@ -30,11 +30,32 @@ class EffectiveChannel:
 
 @dataclass
 class HybridBeamformer:
-    """Analog stage, digital stage, and their composite."""
+    """Analog stage, digital stage, and their composite.
+
+    A batch of B problems holds (N, B K) analog and composite matrices,
+    problem-major, and a (B, K, K) digital stack.
+    """
 
     analog: np.ndarray
     digital: np.ndarray
     composite: BeamformerMatrix
+
+    def split(self) -> list[HybridBeamformer]:
+        """Each problem of a batch as its own beamformer; one problem gives [self]."""
+        if self.digital.ndim == 2:
+            return [self]
+        k = self.digital.shape[-1]
+        return [
+            HybridBeamformer(
+                analog=np.ascontiguousarray(self.analog[:, i * k : (i + 1) * k]),
+                digital=d,
+                composite=BeamformerMatrix(
+                    np.ascontiguousarray(self.composite.matrix[:, i * k : (i + 1) * k]),
+                    self.composite.kind,
+                ),
+            )
+            for i, d in enumerate(self.digital)
+        ]
 
 
 @dataclass
@@ -42,6 +63,26 @@ class WMMSEReport:
     iterations_used: int
     converged: bool
     sumrate_trace: np.ndarray
+
+
+@dataclass
+class WMMSEBatchReport:
+    """Diagnostics of a batch: reports[b] is problem b's own WMMSEReport.
+
+    iterations_used (the iterations summed over the batch) and converged (the
+    count of converged problems) are totals, so they add up as B one-problem
+    reports do.
+    """
+
+    reports: list[WMMSEReport]
+
+    @property
+    def iterations_used(self) -> int:
+        return sum(r.iterations_used for r in self.reports)
+
+    @property
+    def converged(self) -> int:
+        return sum(r.converged for r in self.reports)
 
 
 def analog_beam_steering(
@@ -124,107 +165,160 @@ def hbf_zf(f_ab, eff: EffectiveChannel) -> HybridBeamformer:
 def _power_limited_precoder(
     a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, budget: float
 ) -> np.ndarray:
-    """pinv(A + mu B) C at the multiplier mu > 0 where tr(V^H B V) meets budget.
+    """pinv(A + mu B) C at the multiplier mu > 0 where tr(V^H B V) meets budget,
+    for each problem of (P, K, K) stacks.
 
     For mu > 0 every A + mu B has the range of A + B, so whitening by A + B on
-    that range, W = V_r diag(s_r)^(-1/2), and diagonalizing W^H B W =
-    Q diag(gamma) Q^H give pinv(A + mu B) = W Q diag(1/(1 + (mu-1) gamma)) Q^H W^H.
-    The power is then sum_i gamma_i |y_i|^2 / (1 + (mu-1) gamma_i)^2 with
-    y = Q^H W^H C, and mu is bracketed by doubling and bisected in scalars.
+    that range, W = V diag(s)^(-1/2) with the columns of eigenvalues below the
+    range cut to zero, and diagonalizing W^H B W = Q diag(gamma) Q^H give
+    pinv(A + mu B) = W Q diag(1/(1 + (mu-1) gamma)) Q^H W^H. The power is then
+    sum_i gamma_i |y_i|^2 / (1 + (mu-1) gamma_i)^2 with y = Q^H W^H C, and each
+    problem's mu is bracketed by doubling and bisected on that function, all
+    problems at once.
     """
     s, vecs = np.linalg.eigh(a_mat + b)
-    keep = s > s[-1] * len(s) * np.finfo(s.dtype).eps
-    w = vecs[:, keep] / np.sqrt(s[keep])
-    gamma, q = np.linalg.eigh(w.conj().T @ b @ w)
+    keep = s > s[:, -1:] * s.shape[-1] * np.finfo(s.dtype).eps
+    w = np.where(keep[:, None, :], vecs / np.sqrt(np.where(keep, s, 1.0))[:, None, :], 0.0)
+    gamma, q = np.linalg.eigh(w.conj().mT @ b @ w)
     wq = w @ q
-    y = wq.conj().T @ c
-    weights = gamma * np.sum(np.abs(y) ** 2, axis=1)
-    terms = list(zip(gamma.tolist(), weights.tolist()))
+    y = wq.conj().mT @ c
+    weights = gamma * np.sum(np.abs(y) ** 2, axis=-1)
 
-    def power(mu: float) -> float:
-        return sum(t / (1.0 + (mu - 1.0) * g) ** 2 for g, t in terms)
+    def power(mu: np.ndarray) -> np.ndarray:
+        # add.reduce, not np.sum: this runs about 61 times per step, on tiny arrays
+        return np.add.reduce(weights / (1.0 + (mu[:, None] - 1.0) * gamma) ** 2, axis=-1)
 
-    lo, hi = 0.0, 1.0
-    while power(hi) > budget:
-        hi *= 2.0
-        if hi > 1e12:
-            break
+    lo, hi = np.zeros(len(s)), np.ones(len(s))
+    grow = power(hi) > budget
+    while grow.any():
+        hi = np.where(grow, 2.0 * hi, hi)
+        grow &= (hi <= 1e12) & (power(hi) > budget)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if power(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-    return wq @ (y / (1.0 + (hi - 1.0) * gamma)[:, None])
+        over = power(mid) > budget
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    return wq @ (y / (1.0 + (hi[:, None] - 1.0) * gamma)[..., None])
+
+
+def _precoder_power(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each column's composite power, the diagonal of V^H B V, for (P, K, K) stacks."""
+    return np.real(np.sum(v.conj() * (b @ v), axis=-2))
 
 
 def hbf_wmmse(
     f_ab,
-    eff: EffectiveChannel,
-    p: float,
-    sigma2: float,
+    eff,
+    p,
+    sigma2,
     iters: int = 100,
     tol: float = 1e-6,
-) -> tuple[HybridBeamformer, WMMSEReport]:
-    """Weighted-MMSE digital stage on the effective channel.
+) -> tuple[HybridBeamformer, WMMSEReport | WMMSEBatchReport]:
+    """Weighted-MMSE digital stage on the effective channel, for one problem or a batch.
+
+    One problem is an analog stage f_ab with its EffectiveChannel eff and
+    returns (HybridBeamformer, WMMSEReport). A batch is a list of B analog
+    stages of equal (N, K) with a list of B effective channels; p and sigma2
+    are then scalars or one value per problem. It returns one HybridBeamformer
+    of (N, B K) analog and composite matrices, problem-major, with a (B, K, K)
+    digital stack, and a WMMSEBatchReport. Each problem of a batch is
+    bit-identical, in its composite, count, flag and trace, to that problem
+    solved alone: every step is a stacked product or decomposition whose items
+    are computed one by one, and a converged problem leaves the batch.
 
     Alternates per-user scalar receivers, MSE weights, and a digital precoder
-    solved from the weighted normal equations. When that solution exceeds the
-    composite power budget sum_k ||F_AB d_k||^2 <= K, the precoder takes the
-    Lagrange multiplier that meets the budget, bisected on a scalar power
-    function (`_power_limited_precoder`). Iterates until the relative sum-rate
-    change drops below tol or iters is reached. A final per-column
-    renormalization enforces unit composite column norms, also for a user that
-    WMMSE switched off: its decayed column keeps its direction, or, once it has
-    decayed below the normal floats, is replaced by the user's analog column.
+    solved from the weighted normal equations by a Hermitian pseudoinverse.
+    When that solution exceeds the composite power budget
+    sum_k ||F_AB d_k||^2 <= K, the precoder takes the Lagrange multiplier that
+    meets the budget, bisected on a scalar power function
+    (`_power_limited_precoder`). Iterates until the relative sum-rate change
+    drops below tol or iters is reached. A final per-column renormalization
+    enforces unit composite column norms, also for a user that WMMSE switched
+    off: its decayed column keeps its direction, or, once it has decayed below
+    the normal floats, is replaced by the user's analog column.
     """
-    a = np.asarray(getattr(f_ab, "matrix", f_ab))
-    kk = eff.matrix.shape[1]
-    per_user = p / kk
+    single = isinstance(eff, EffectiveChannel)
+    if single:
+        f_ab, eff = [f_ab], [eff]
+    a = np.stack([np.asarray(getattr(f, "matrix", f)) for f in f_ab])
+    h = np.stack([e.matrix for e in eff])
+    n_prob, kk = h.shape[0], h.shape[-1]
+    if a.shape[0] != n_prob:
+        raise ValueError("one analog stage per effective channel")
+    p = np.broadcast_to(np.asarray(p, dtype=float), (n_prob,))
+    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (n_prob,))
     # absorb the per-stream transmit power into the channel
-    g = np.sqrt(per_user) * eff.matrix
-    b = a.conj().T @ a
+    g = np.sqrt(p / kk)[:, None, None] * h
+    b = a.conj().mT @ a
 
     # zero-forcing style initialization, scaled to the power budget
-    v = np.linalg.pinv(g.conj().T)
-    pw = np.real(np.einsum("ik,ij,jk->k", v.conj(), b, v))
+    v = np.linalg.pinv(g.conj().mT)
+    pw = _precoder_power(v, b)
     pw[pw == 0] = 1.0
-    v = v / np.sqrt(pw)
+    v = v / np.sqrt(pw)[:, None, :]
 
-    trace = [channel_sum_rate(eff.matrix, v, p, sigma2)]
-    converged = False
-    it = 0
+    last = channel_sum_rates(h, v, p, sigma2)
+    traces = [[r] for r in last.tolist()]
+    used = np.full(n_prob, iters)
+    converged = np.zeros(n_prob, dtype=bool)
+    done_v = v.copy()
+    ids = np.arange(n_prob)  # the problems still iterating
     for it in range(1, iters + 1):
-        t = g.conj().T @ v  # t[k, i] = g_k^H v_i
-        q = np.sum(np.abs(t) ** 2, axis=1) + sigma2
-        tkk = np.diag(t)
+        t = g.conj().mT @ v  # t[k, i] = g_k^H v_i
+        q = np.sum(np.abs(t) ** 2, axis=-1) + sigma2[ids, None]
+        tkk = np.diagonal(t, axis1=-2, axis2=-1)
         u = tkk.conj() / q
         e = np.maximum(1.0 - np.abs(tkk) ** 2 / q, 1e-12)
         w = 1.0 / e
 
         wu2 = w * np.abs(u) ** 2
-        a_mat = (g * wu2) @ g.conj().T
-        c = g * (w * u.conj())
+        a_mat = (g * wu2[:, None, :]) @ g.conj().mT
+        c = g * (w * u.conj())[:, None, :]
 
-        v = np.linalg.lstsq(a_mat, c, rcond=None)[0]
-        if np.real(np.einsum("ik,ij,jk->", v.conj(), b, v)) > kk:
-            v = _power_limited_precoder(a_mat, b, c, kk)
-        trace.append(channel_sum_rate(eff.matrix, v, p, sigma2))
-        if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
-            converged = True
-            break
+        v = np.linalg.pinv(a_mat, hermitian=True) @ c
+        hot = _precoder_power(v, b).sum(axis=-1) > kk
+        if hot.any():
+            v[hot] = _power_limited_precoder(a_mat[hot], b[hot], c[hot], kk)
+        rate = channel_sum_rates(h[ids], v, p[ids], sigma2[ids])
+        for i, r in zip(ids.tolist(), rate.tolist()):
+            traces[i].append(r)
+        prev, last[ids] = last[ids], rate
+        stop = np.abs(rate - prev) <= tol * np.maximum(1.0, np.abs(prev))
+        if stop.any():
+            done_v[ids[stop]] = v[stop]
+            used[ids[stop]] = it
+            converged[ids[stop]] = True
+            stay = ~stop
+            ids, g, b, v = ids[stay], g[stay], b[stay], v[stay]
+            if not ids.size:
+                break
+    done_v[ids] = v
 
     # a user WMMSE switches off keeps a column that decays geometrically: bring
     # it to unit scale, or its squared entries underflow in the norm; a column
     # that has decayed below the normal floats is served by its analog column
-    peak = np.max(np.abs(v), axis=0)
+    v = done_v
+    peak = np.max(np.abs(v), axis=-2)
     off = peak < np.finfo(peak.dtype).tiny
-    v = v / np.where(off, 1.0, peak)
-    v[:, off] = np.eye(kk)[:, off]
-    norms = np.linalg.norm(a @ v, axis=0)
+    v = v / np.where(off, 1.0, peak)[:, None, :]
+    v = np.where(off[:, None, :], np.eye(kk), v)
+    norms = np.linalg.norm(a @ v, axis=-2)
     norms[norms == 0] = 1.0
-    v = v / norms
-    hybrid = _composite(a, v)
-    return hybrid, WMMSEReport(
-        iterations_used=it, converged=converged, sumrate_trace=np.array(trace)
+    v = v / norms[:, None, :]
+    comp = a @ v
+    reports = [WMMSEReport(iterations_used=int(n), converged=bool(c), sumrate_trace=np.array(tr))
+               for n, c, tr in zip(used, converged, traces)]
+    if single:
+        hybrid = HybridBeamformer(a[0], v[0], BeamformerMatrix(comp[0], HYBRID_COMPOSITE))
+        return hybrid, reports[0]
+    hybrid = HybridBeamformer(
+        analog=_problem_major(a),
+        digital=v,
+        composite=BeamformerMatrix(_problem_major(comp), HYBRID_COMPOSITE),
     )
+    return hybrid, WMMSEBatchReport(reports)
+
+
+def _problem_major(stack: np.ndarray) -> np.ndarray:
+    """(B, N, K) stack as the (N, B K) matrix whose columns b K to b K + K - 1 are item b."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)

@@ -57,19 +57,23 @@ def _matrix_of(f) -> np.ndarray:
     return np.asarray(getattr(f, "matrix", f))
 
 
-def _sinrs(hh: np.ndarray, m: np.ndarray, p: float, sigma2: float) -> np.ndarray:
+def _sinrs(hh: np.ndarray, m: np.ndarray, p, sigma2) -> np.ndarray:
     """Every user's SINR for channel columns h_k and beamformer columns f_i, at
-    equal power P/K per stream: the one place the gains |h_k^H f_i|^2 are formed."""
-    if m.shape[0] != hh.shape[0]:
+    equal power P/K per stream: the one place the gains |h_k^H f_i|^2 are formed.
+
+    hh and m may carry leading stack axes, one problem per item, with p and
+    sigma2 scalars or one value per problem; each item's SINRs are bit-equal
+    to that problem's alone."""
+    if m.shape[-2] != hh.shape[-2]:
         raise ValueError("dimension mismatch")
     # stacked products of contiguous rows h_k^H with F round as each h_k^H F alone;
     # one (K, N) @ (N, K) product or strided rows round differently
-    rows = np.ascontiguousarray(hh.T).conj()[:, None, :]
-    g = np.abs((rows @ m)[:, 0, :]) ** 2
-    per_user = p / m.shape[1]
-    signal = np.diag(g)
-    interference = per_user * (np.sum(g, axis=1) - signal)
-    return per_user * signal / (interference + sigma2)
+    rows = np.ascontiguousarray(np.swapaxes(hh, -1, -2)).conj()[..., None, :]
+    g = np.abs((rows @ m[..., None, :, :])[..., 0, :]) ** 2
+    per_user = np.asarray(p)[..., None] / m.shape[-1]
+    signal = np.diagonal(g, axis1=-2, axis2=-1)
+    interference = per_user * (np.sum(g, axis=-1) - signal)
+    return per_user * signal / (interference + np.asarray(sigma2)[..., None])
 
 
 def sinr(scenario, f, k: int, p: float, sigma2: float) -> float:
@@ -82,9 +86,20 @@ def achievable_rate(sinr_value: float) -> float:
     return float(np.log2(1.0 + sinr_value))
 
 
+def channel_sum_rates(hh: np.ndarray, f, p, sigma2) -> np.ndarray:
+    """channel_sum_rate of every problem of a stack: hh and f are (..., N, K),
+    p and sigma2 scalars or one value per problem."""
+    rates = np.log2(1.0 + _sinrs(hh, _matrix_of(f), p, sigma2))
+    # added in user order: numpy's pairwise sum rounds differently from K = 8 on
+    total = rates[..., 0]
+    for k in range(1, rates.shape[-1]):
+        total = total + rates[..., k]
+    return total
+
+
 def channel_sum_rate(hh: np.ndarray, f, p: float, sigma2: float) -> float:
     """Sum of per-user achievable rates over the channel columns hh."""
-    return float(sum(achievable_rate(s) for s in _sinrs(hh, _matrix_of(f), p, sigma2)))
+    return float(channel_sum_rates(hh, f, p, sigma2))
 
 
 def sum_rate(scenario, f, p: float, sigma2: float) -> float:

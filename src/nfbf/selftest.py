@@ -180,12 +180,17 @@ def _check_mm_descent(rng) -> str:
 
 
 def _check_hbf_invariants(rng) -> str:
+    # the 5 seeds' WMMSE problems run as one batch; each seed's composite,
+    # count, flag and trace must equal that seed solved alone, bit for bit
     cfg = ArrayConfig(n_bs=16)
-    for seed in range(5):
-        scen = random_scenario(cfg, 3, 2, seed=seed)
-        f_ab = analog_beam_steering("perfect", scenario=scen)
+    scens = [random_scenario(cfg, 3, 2, seed=seed) for seed in range(5)]
+    analog = [analog_beam_steering("perfect", scenario=scen) for scen in scens]
+    effs = [effective_channel(f_ab, scen) for f_ab, scen in zip(analog, scens)]
+    batch, batch_rep = hbf_wmmse(analog, effs, 1.0, 0.1)
+    batch.composite.validate(MODULUS_TOL)
+    for seed, (scen, f_ab, eff, one, one_rep) in enumerate(
+            zip(scens, analog, effs, batch.split(), batch_rep.reports)):
         f_ab.validate(MODULUS_TOL)
-        eff = effective_channel(f_ab, scen)
         zf = hbf_zf(f_ab, eff)
         zf.composite.validate(MODULUS_TOL)
         hh = scen.channel_matrix()
@@ -198,6 +203,12 @@ def _check_hbf_invariants(rng) -> str:
         wm.composite.validate(MODULUS_TOL)
         if np.any(np.diff(rep.sumrate_trace) < -1e-9):
             return f"WMMSE trace decreased (seed {seed})"
+        same = (np.array_equal(one.composite.matrix, wm.composite.matrix)
+                and one_rep.iterations_used == rep.iterations_used
+                and one_rep.converged == rep.converged
+                and np.array_equal(one_rep.sumrate_trace, rep.sumrate_trace))
+        if not same:
+            return f"WMMSE batch differs from seed {seed} solved alone"
     return ""
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import nfbf.codebook
 from nfbf.cli import main
 from nfbf.harness import CSV_HEADER
 
@@ -156,6 +157,16 @@ def test_malformed_config_exits_2(tmp_path):
         code4, _, err4 = _run([command, "--config", str(wrong)])
         assert code4 == 2 and "error:" in err4, doc
         assert next(iter(doc)) in err4, err4  # the key at fault, not a later failure
+
+
+def test_run_exits_2_on_a_codebook_too_large_for_memory():
+    # N = 200 000 would need about 2e14 bytes; the run fails before allocating
+    if nfbf.codebook._available_memory() is None:
+        pytest.skip("no readable memory figure on this platform")
+    code, out, err = _run(["run", "--nbs", "200000", "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert "GB of memory available" in err
 
 
 def test_codebook_export(tmp_path):

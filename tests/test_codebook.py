@@ -139,6 +139,33 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
         build_codebook(cfg)
 
 
+def test_oversized_codebook_fails_before_allocating():
+    # N = 200 000 with 320 rings would need about 2e14 bytes
+    if nfbf.codebook._available_memory() is None:
+        pytest.skip("no readable memory figure on this platform")
+    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 2.05e\+05 GB"):
+        build_codebook(ArrayConfig(n_bs=200_000))
+
+
+def test_available_memory_is_the_smaller_readable_limit(tmp_path, monkeypatch):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:  8000000 kB\nMemAvailable:  4000000 kB\n")
+    v2, v1 = tmp_path / "memory.max", tmp_path / "missing"
+    monkeypatch.setattr(nfbf.codebook, "_MEMINFO", str(meminfo))
+    monkeypatch.setattr(nfbf.codebook, "_CGROUP_LIMITS", (str(v2), str(v1)))
+    v2.write_text("max\n")
+    assert nfbf.codebook._available_memory() == 4000000 * 1024
+    v2.write_text("1000000\n")
+    assert nfbf.codebook._available_memory() == 1000000
+    # a codebook over the limit fails; one within it builds
+    with pytest.raises(ValueError, match="GB of memory available"):
+        build_codebook(ArrayConfig(n_bs=16), n_dis=245)
+    assert build_codebook(ArrayConfig(n_bs=16), n_dis=244).codewords.nbytes <= 1000000
+    monkeypatch.setattr(nfbf.codebook, "_MEMINFO", str(v1))
+    monkeypatch.setattr(nfbf.codebook, "_CGROUP_LIMITS", (str(v1),))
+    assert nfbf.codebook._available_memory() is None
+
+
 def test_flat_is_row_major_in_p_then_q():
     cfg = ArrayConfig(n_bs=4)
     cb = build_codebook(cfg, n_dis=3)

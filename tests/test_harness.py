@@ -555,6 +555,31 @@ def test_snr_sweep_designs_each_regime_once_per_chunk(monkeypatch):
     ]
 
 
+def test_snr_sweep_solves_wmmse_once_per_chunk(monkeypatch):
+    # 5 trials in chunks of 2: one WMMSE batch per chunk holding every trial,
+    # SNR point and regime of the chunk, and the same CSV as one chunk of 5
+    spec = _tiny_spec(schemes=("hbf-wmmse-perfect", "hbf-wmmse-imperfect"), trials=5,
+                      sweep=(0.0, 10.0, 20.0))
+    whole = run_experiment(spec).to_csv()
+    log = _counted(monkeypatch, ["hbf_wmmse"])
+    monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
+    assert run_experiment(spec).to_csv() == whole
+    assert [len(args[0]) for _, args in log] == [2 * 3 * 2, 2 * 3 * 2, 1 * 3 * 2]
+
+
+def test_k_sweep_solves_wmmse_once_per_chunk_and_k(monkeypatch):
+    # each K is its own (N, K) group: one batch per chunk and K
+    spec = _tiny_spec(experiment="sumrate-vs-k",
+                      schemes=("hbf-wmmse-perfect", "hbf-wmmse-imperfect"), trials=3,
+                      sweep=(1, 2, 3))
+    whole = run_experiment(spec).to_csv()
+    log = _counted(monkeypatch, ["hbf_wmmse"])
+    monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
+    assert run_experiment(spec).to_csv() == whole
+    assert [(len(args[0]), args[1][0].matrix.shape) for _, args in log] == [
+        (2 * 2, (k, k)) for k in (1, 2, 3)] + [(1 * 2, (k, k)) for k in (1, 2, 3)]
+
+
 def test_each_trials_sweeps_follow_its_own_draw(monkeypatch):
     # two array sizes, so each trial draws twice: each draw is followed by
     # one beam sweep per user, of that draw's channels, before any later draw

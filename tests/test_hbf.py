@@ -18,6 +18,7 @@ from nfbf.metrics import (
     ANALOG_ONLY,
     HYBRID_COMPOSITE,
     BeamformerMatrix,
+    channel_sum_rate,
     noise_from_snr,
     sum_rate,
 )
@@ -167,17 +168,14 @@ def test_wmmse_not_worse_than_zf_at_low_snr():
     p = 1.0
     k = 4
     sigma2 = noise_from_snr(p, k, 0.0)
-    worse = 0.0
+    drops = []
     for seed in range(100):
         sc = random_scenario(ArrayConfig(n_bs=64), k, 3, seed=seed)
         f_ab = analog_beam_steering("perfect", scenario=sc)
-        eff = effective_channel(f_ab, sc)
+        drops.append((sc, f_ab, effective_channel(f_ab, sc), p, sigma2))
+    for (sc, f_ab, eff, _, _), (hb, _) in zip(drops, _solve_batch(drops)):
         rate_zf = sum_rate(sc, hbf_zf(f_ab, eff).composite, p, sigma2)
-        hb, _ = hbf_wmmse(f_ab, eff, p, sigma2)
-        rate_w = sum_rate(sc, hb.composite, p, sigma2)
-        assert rate_w >= rate_zf - 1e-9
-        worse = min(worse, rate_w - rate_zf)
-    assert worse >= -1e-9
+        assert sum_rate(sc, hb.composite, p, sigma2) >= rate_zf - 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -311,27 +309,119 @@ def _unit_columns(a, v):
     return comp / np.linalg.norm(comp, axis=0)
 
 
-def _assert_matches_oracle(sc, f_ab, eff, p, sigma2):
-    hb, rep = hbf_wmmse(f_ab, eff, p, sigma2)
-    want, it, converged = _oracle_wmmse(f_ab, eff, p, sigma2)
-    got = hb.composite.matrix
-    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
-    assert sum_rate(sc, hb.composite, p, sigma2) == pytest.approx(
-        sum_rate(sc, BeamformerMatrix(want, HYBRID_COMPOSITE), p, sigma2), rel=1e-8, abs=0
-    )
-    assert (rep.iterations_used, rep.converged) == (it, converged)
+def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
+    """The one-problem-per-call WMMSE engine the batched one replaced.
+
+    Each precoder step solves lstsq(A, C) and, over the budget, bisects mu on
+    a scalar power function built from one whitening of A + B. Returns
+    (composite, iterations_used, converged).
+    """
+    a = np.asarray(getattr(f_ab, "matrix", f_ab))
+    kk = eff.matrix.shape[1]
+    per_user = p / kk
+    g = np.sqrt(per_user) * eff.matrix
+    b = a.conj().T @ a
+
+    def power_limited(a_mat, c):
+        s, vecs = np.linalg.eigh(a_mat + b)
+        keep = s > s[-1] * len(s) * np.finfo(s.dtype).eps
+        w = vecs[:, keep] / np.sqrt(s[keep])
+        gamma, q = np.linalg.eigh(w.conj().T @ b @ w)
+        wq = w @ q
+        y = wq.conj().T @ c
+        terms = list(zip(gamma.tolist(), (gamma * np.sum(np.abs(y) ** 2, axis=1)).tolist()))
+
+        def power(mu):
+            return sum(t / (1.0 + (mu - 1.0) * gg) ** 2 for gg, t in terms)
+
+        lo, hi = 0.0, 1.0
+        while power(hi) > kk:
+            hi *= 2.0
+            if hi > 1e12:
+                break
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if power(mid) > kk:
+                lo = mid
+            else:
+                hi = mid
+        return wq @ (y / (1.0 + (hi - 1.0) * gamma)[:, None])
+
+    v = np.linalg.pinv(g.conj().T)
+    pw = np.real(np.einsum("ik,ij,jk->k", v.conj(), b, v))
+    pw[pw == 0] = 1.0
+    v = v / np.sqrt(pw)
+    trace = [channel_sum_rate(eff.matrix, v, p, sigma2)]
+    converged = False
+    it = 0
+    for it in range(1, iters + 1):
+        t = g.conj().T @ v
+        q = np.sum(np.abs(t) ** 2, axis=1) + sigma2
+        tkk = np.diag(t)
+        u = tkk.conj() / q
+        w = 1.0 / np.maximum(1.0 - np.abs(tkk) ** 2 / q, 1e-12)
+        a_mat = (g * (w * np.abs(u) ** 2)) @ g.conj().T
+        c = g * (w * u.conj())
+        v = np.linalg.lstsq(a_mat, c, rcond=None)[0]
+        if np.real(np.einsum("ik,ij,jk->", v.conj(), b, v)) > kk:
+            v = power_limited(a_mat, c)
+        trace.append(channel_sum_rate(eff.matrix, v, p, sigma2))
+        if _stopping_rule(trace, tol):
+            converged = True
+            break
+    return _unit_columns(a, v), it, converged
+
+
+def _assert_matches_oracles(sc, f_ab, eff, p, sigma2, hb, rep):
+    """hb and rep, one problem's WMMSE solution, against both oracles: the
+    lstsq bisection within 1e-8 in composite and rate, the per-call engine
+    within 1e-8 in rate; equal counts and flags with both."""
+    got = BeamformerMatrix(hb.composite.matrix, HYBRID_COMPOSITE)
+    for oracle in (_oracle_wmmse, _per_call_wmmse):
+        want, it, converged = oracle(f_ab, eff, p, sigma2)
+        if oracle is _oracle_wmmse:
+            assert np.max(np.abs(got.matrix - want)) <= 1e-8 * np.max(np.abs(want))
+        assert sum_rate(sc, got, p, sigma2) == pytest.approx(
+            sum_rate(sc, BeamformerMatrix(want, HYBRID_COMPOSITE), p, sigma2), rel=1e-8, abs=0
+        )
+        assert (rep.iterations_used, rep.converged) == (it, converged)
     return hb
+
+
+def _assert_matches_oracle(sc, f_ab, eff, p, sigma2):
+    return _assert_matches_oracles(sc, f_ab, eff, p, sigma2, *hbf_wmmse(f_ab, eff, p, sigma2))
+
+
+def _solve_batch(drops):
+    """Every (scenario, analog, effective channel, p, sigma2) drop as one
+    hbf_wmmse batch; one (HybridBeamformer, WMMSEReport) per drop."""
+    hb, rep = hbf_wmmse([d[1] for d in drops], [d[2] for d in drops],
+                        [d[3] for d in drops], [d[4] for d in drops])
+    return list(zip(hb.split(), rep.reports))
+
+
+def _assert_batch_matches_oracles(drops):
+    for drop, solved in zip(drops, _solve_batch(drops), strict=True):
+        _assert_matches_oracles(*drop, *solved).composite.validate(atol=1e-9)
+
+
+def _regime_drops(cb, seeds, snrs):
+    """(scenario, analog, effective channel, p, sigma2) for both CSI regimes of
+    every seed and SNR point; the imperfect regime sees a noisy estimate."""
+    p, k = 1.0, 4
+    for seed in seeds:
+        sc = random_scenario(cb.array, k, 3, seed=seed)
+        for snr_db in snrs:
+            sigma2 = noise_from_snr(p, k, snr_db)
+            for f_ab, eff in _analog_and_eff(sc, cb, sigma2, seed):
+                yield sc, f_ab, eff, p, sigma2
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0])
 def test_wmmse_matches_lstsq_bisection_oracle(cb64, snr_db):
-    # 10 drops x 2 CSI regimes per SNR: 100 calls over the five SNR points
-    p, k = 1.0, 4
-    sigma2 = noise_from_snr(p, k, snr_db)
-    for seed in range(10):
-        sc = random_scenario(cb64.array, k, 3, seed=seed)
-        for f_ab, eff in _analog_and_eff(sc, cb64, sigma2, seed):
-            _assert_matches_oracle(sc, f_ab, eff, p, sigma2).composite.validate(atol=1e-9)
+    # 10 drops x 2 CSI regimes per SNR, one batch each: 100 problems over the
+    # five SNR points
+    _assert_batch_matches_oracles(list(_regime_drops(cb64, range(10), [snr_db])))
 
 
 def _duplicate_codeword_drops(cb, sigma_e2, seeds=range(4), snrs=(-10.0, 10.0, 30.0)):
@@ -353,24 +443,66 @@ def _duplicate_codeword_drops(cb, sigma_e2, seeds=range(4), snrs=(-10.0, 10.0, 3
 
 
 def test_wmmse_with_singular_analog_gram_matches_oracle(cb64):
-    for drop in _duplicate_codeword_drops(cb64, sigma_e2=0.1):
-        _assert_matches_oracle(*drop).composite.validate(atol=1e-9)
+    _assert_batch_matches_oracles(list(_duplicate_codeword_drops(cb64, sigma_e2=0.1)))
 
 
 def test_wmmse_with_singular_whitening_matrix_matches_oracle(cb64):
     # A + B is singular, so only its numerical range is whitened; here WMMSE
     # also switches users off, and their decayed columns must still normalize
-    for drop in _duplicate_codeword_drops(cb64, sigma_e2=0.0):
-        _assert_matches_oracle(*drop).composite.validate(atol=1e-9)
+    _assert_batch_matches_oracles(list(_duplicate_codeword_drops(cb64, sigma_e2=0.0)))
+
+
+def _switched_off_drop():
+    # user 1 of this harness drop (perfect CSI, 0 dB) is switched off: its
+    # precoder column decays to ~1e-173, whose squares underflow to zero
+    sc = random_scenario(ArrayConfig(n_bs=64), 4, 3, seed=1500043)
+    f_ab = analog_beam_steering("perfect", scenario=sc)
+    return sc, f_ab, effective_channel(f_ab, sc), 1.0, noise_from_snr(1.0, 4, 0.0)
 
 
 def test_wmmse_normalizes_a_switched_off_user():
-    # user 1 of this harness drop (perfect CSI, 0 dB) is switched off: its
-    # precoder column decays to ~1e-173, whose squares underflow to zero
-    cfg = ArrayConfig(n_bs=64)
-    sc = random_scenario(cfg, 4, 3, seed=1500043)
-    f_ab = analog_beam_steering("perfect", scenario=sc)
-    p, sigma2 = 1.0, noise_from_snr(1.0, 4, 0.0)
-    hb = _assert_matches_oracle(sc, f_ab, effective_channel(f_ab, sc), p, sigma2)
+    hb = _assert_matches_oracle(*_switched_off_drop())
     assert np.all(np.isfinite(hb.composite.matrix))
     hb.composite.validate(atol=1e-9)
+
+
+def test_each_problem_of_a_mixed_batch_equals_itself_solved_alone(cb64):
+    # both regimes from -10 to 30 dB, singular B, singular A + B and a
+    # switched-off user, interleaved in one batch: each problem's composite,
+    # count, flag and trace are bit-identical to that problem solved alone.
+    # At 200 dB some unconstrained steps meet the budget, so the batch mixes
+    # problems that take the power-limited step with problems that do not.
+    drops = [*_regime_drops(cb64, range(3), [-10.0, 0.0, 10.0, 20.0, 30.0]),
+             *_regime_drops(cb64, range(2), [200.0]),
+             *_duplicate_codeword_drops(cb64, sigma_e2=0.1, seeds=range(2)),
+             *_duplicate_codeword_drops(cb64, sigma_e2=0.0, seeds=range(2)),
+             _switched_off_drop()]
+    drops = [drops[i] for i in np.random.default_rng(0).permutation(len(drops))]
+    hb, rep = hbf_wmmse([d[1] for d in drops], [d[2] for d in drops], 1.0,
+                        [d[4] for d in drops])
+    k = 4
+    assert hb.composite.matrix.shape == (64, k * len(drops))
+    assert hb.digital.shape == (len(drops), k, k)
+    assert rep.iterations_used == sum(r.iterations_used for r in rep.reports)
+    assert rep.converged == sum(r.converged for r in rep.reports)
+    assert rep.converged < len(drops)  # some problems stop at the cap, others leave early
+    for i, (drop, one, one_rep) in enumerate(zip(drops, hb.split(), rep.reports, strict=True)):
+        alone, alone_rep = hbf_wmmse(*drop[1:])
+        assert np.array_equal(hb.composite.matrix[:, i * k : (i + 1) * k],
+                              alone.composite.matrix)
+        assert np.array_equal(one.composite.matrix, alone.composite.matrix)
+        assert np.array_equal(one.digital, alone.digital)
+        assert np.array_equal(one.analog, alone.analog)
+        assert one_rep.iterations_used == alone_rep.iterations_used
+        assert one_rep.converged == alone_rep.converged
+        assert np.array_equal(one_rep.sumrate_trace, alone_rep.sumrate_trace)
+
+
+def test_wmmse_batch_input_errors():
+    sc = random_scenario(ArrayConfig(n_bs=16), 2, 2, seed=0)
+    f_ab = analog_beam_steering("perfect", scenario=sc)
+    eff = effective_channel(f_ab, sc)
+    with pytest.raises(ValueError):
+        hbf_wmmse([f_ab, f_ab], [eff], 1.0, 0.1)
+    with pytest.raises(ValueError):
+        hbf_wmmse([f_ab, f_ab], [eff, eff], 1.0, [0.1, 0.2, 0.3])
