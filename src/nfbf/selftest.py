@@ -25,6 +25,7 @@ from .geometry import (
     polar_to_cartesian,
     rayleigh_distance,
 )
+from . import hbf
 from .harness import ExperimentSpec, run_experiment
 from .hbf import analog_beam_steering, effective_channel, hbf_wmmse, hbf_zf
 from .metrics import beam_gain, sum_rate
@@ -180,13 +181,31 @@ def _check_mm_descent(rng) -> str:
 
 
 def _check_hbf_invariants(rng) -> str:
-    # the 5 seeds' WMMSE problems run as one batch; each seed's composite,
-    # count, flag and trace must equal that seed solved alone, bit for bit
+    # the 5 seeds' WMMSE problems run as one batch; every power-limited step
+    # must meet its budget, and each seed's composite, count, flag and trace
+    # must equal that seed solved alone, bit for bit
     cfg = ArrayConfig(n_bs=16)
     scens = [random_scenario(cfg, 3, 2, seed=seed) for seed in range(5)]
     analog = [analog_beam_steering("perfect", scenario=scen) for scen in scens]
     effs = [effective_channel(f_ab, scen) for f_ab, scen in zip(analog, scens)]
-    batch, batch_rep = hbf_wmmse(analog, effs, 1.0, 0.1)
+    solve, limited = hbf._power_limited_precoder, []
+
+    def record(a_mat, b, c, budget):
+        v, steps = solve(a_mat, b, c, budget)
+        limited.append((hbf._precoder_power(v, b).sum(axis=-1), budget))
+        return v, steps
+
+    hbf._power_limited_precoder = record
+    try:
+        batch, batch_rep = hbf_wmmse(analog, effs, 1.0, 0.1)
+    finally:
+        hbf._power_limited_precoder = solve
+    if not limited:
+        return "no WMMSE step took the power-limited precoder"
+    for power, budget in limited:
+        miss = np.max(np.abs(power - budget)) / budget
+        if miss > 1e-12:
+            return f"power-limited WMMSE step missed its budget by {miss:.1e} relative"
     batch.composite.validate(MODULUS_TOL)
     for seed, (scen, f_ab, eff, one, one_rep) in enumerate(
             zip(scens, analog, effs, batch.split(), batch_rep.reports)):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from nfbf import hbf
 from nfbf.channel import PathComponent, Scenario, make_user_channel, random_scenario
 from nfbf.codebook import CodewordIndex, beam_sweep, build_codebook
 from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.hbf import (
+    _NEWTON_CAP,
     EffectiveChannel,
     SingularEffectiveChannelError,
     analog_beam_steering,
@@ -450,6 +452,65 @@ def test_wmmse_with_singular_whitening_matrix_matches_oracle(cb64):
     # A + B is singular, so only its numerical range is whitened; here WMMSE
     # also switches users off, and their decayed columns must still normalize
     _assert_batch_matches_oracles(list(_duplicate_codeword_drops(cb64, sigma_e2=0.0)))
+
+
+def _bisected_precoder(a_mat, b, c, budget):
+    """The power-limited step the Newton solve replaced: the same whitening and
+    scalar power function, with each problem's mu bracketed by doubling and
+    bisected 60 times, all problems at once."""
+    s, vecs = np.linalg.eigh(a_mat + b)
+    keep = s > s[:, -1:] * s.shape[-1] * np.finfo(s.dtype).eps
+    w = np.where(keep[:, None, :], vecs / np.sqrt(np.where(keep, s, 1.0))[:, None, :], 0.0)
+    gamma, q = np.linalg.eigh(w.conj().mT @ b @ w)
+    wq = w @ q
+    y = wq.conj().mT @ c
+    weights = gamma * np.sum(np.abs(y) ** 2, axis=-1)
+
+    def power(mu):
+        return np.add.reduce(weights / (1.0 + (mu[:, None] - 1.0) * gamma) ** 2, axis=-1)
+
+    lo, hi = np.zeros(len(s)), np.ones(len(s))
+    grow = power(hi) > budget
+    while grow.any():
+        hi = np.where(grow, 2.0 * hi, hi)
+        grow &= (hi <= 1e12) & (power(hi) > budget)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        over = power(mid) > budget
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    return wq @ (y / (1.0 + (hi[:, None] - 1.0) * gamma)[..., None])
+
+
+def test_power_limited_step_matches_the_bisection_oracle(cb64, monkeypatch):
+    # every stack hbf_wmmse hands its power-limited step while it solves the
+    # regime drops and both duplicate-codeword sets (singular B, and singular
+    # A + B) as one batch
+    stacks = []
+    solve = hbf._power_limited_precoder
+
+    def record(*args):
+        stacks.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(hbf, "_power_limited_precoder", record)
+    _solve_batch([*_regime_drops(cb64, range(10), [-10.0, 0.0, 10.0, 20.0, 30.0]),
+                  *_duplicate_codeword_drops(cb64, sigma_e2=0.1),
+                  *_duplicate_codeword_drops(cb64, sigma_e2=0.0)])
+    monkeypatch.undo()
+    assert stacks
+    for a_mat, b, c, budget in stacks:
+        v, steps = solve(a_mat, b, c, budget)
+        want = _bisected_precoder(a_mat, b, c, budget)
+        error = np.max(np.abs(v - want), axis=(-2, -1))
+        assert np.all(error <= 1e-9 * np.max(np.abs(want), axis=(-2, -1)))
+        power = np.real(np.einsum("pik,pij,pjk->p", v.conj(), b, v))
+        assert np.all(np.abs(power - budget) <= 1e-12 * budget)
+        assert np.all(steps < _NEWTON_CAP)
+        for i in range(len(v)):
+            alone, alone_steps = solve(a_mat[i : i + 1], b[i : i + 1], c[i : i + 1], budget)
+            assert np.array_equal(alone[0], v[i])
+            assert alone_steps[0] == steps[i]
 
 
 def _switched_off_drop():
