@@ -43,27 +43,44 @@ class CodewordIndex:
     q: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolarCodebook:
-    """Immutable angle-by-distance grid of unit-norm near-field codewords."""
+    """Immutable angle-by-distance grid of unit-norm near-field codewords.
+
+    Each mirror pair of angle bins is stored once: where bin N+1-p is the exact
+    mirror image of bin p (see _mirror_rows), its codewords are bin p's
+    reversed along the antenna axis and are not stored. Bin p reads
+    stored[row[p-1]], reversed where mirrored[p-1]. Every array is read-only.
+    """
 
     array: ArrayConfig
     n_dis: int
     beta: float
     angles: np.ndarray  # (P,) grid angles, strictly increasing
     radii: np.ndarray  # (P, Q) ring radii, strictly decreasing in q
-    codewords: np.ndarray  # (P, Q, N) complex
+    stored: np.ndarray  # (S, Q, N) complex, the codewords of the bins no other bin mirrors
+    row: np.ndarray  # (P,) the row of stored each bin reads
+    mirrored: np.ndarray  # (P,) bool, the bins that read their row reversed
 
     def codeword(self, idx: CodewordIndex) -> np.ndarray:
+        """Read-only (N,) view of codeword idx."""
         self._check(idx)
-        return self.codewords[idx.p - 1, idx.q - 1]
+        word = self.stored[self.row[idx.p - 1], idx.q - 1]
+        return word[::-1] if self.mirrored[idx.p - 1] else word
+
+    @property
+    def codewords(self) -> np.ndarray:
+        """(P, Q, N) copy of the whole grid, mirrored bins included."""
+        full = self.stored[self.row]
+        full[self.mirrored] = full[self.mirrored, :, ::-1]
+        return full
 
     def location(self, idx: CodewordIndex) -> PolarCoord:
         self._check(idx)
         return PolarCoord(float(self.angles[idx.p - 1]), float(self.radii[idx.p - 1, idx.q - 1]))
 
     def flat(self) -> np.ndarray:
-        """(P*Q, N) view of the codewords, row-major in (p, q)."""
+        """(P*Q, N) copy of the codewords, row-major in (p, q)."""
         n = self.array.n_bs
         return self.codewords.reshape(-1, n)
 
@@ -131,41 +148,74 @@ def _available_memory() -> int | None:
     return min(found) if found else None
 
 
+def _mirror_rows(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, mirrored) of PolarCodebook for the grid angles.
+
+    Bin N+1-p mirrors bin p < N+1-p where both sines its codewords are built
+    from are exact negations of bin p's: the array sine the radii square, and
+    the scalar sine element_distances takes of each tile's angle. Then the
+    radii rows are equal and, the element offsets being antisymmetric, every
+    element distance is bit-equal to bin p's at the reversed element.
+    """
+    n = len(angles)
+    sin_grid = np.sin(angles)
+    sin_tile = np.array([np.sin(np.asarray(a, dtype=float)) for a in angles])
+    upper = np.arange((n + 1) // 2, n)
+    lower = n - 1 - upper
+    mirrored = np.zeros(n, dtype=bool)
+    mirrored[upper] = ((sin_grid[upper] == -sin_grid[lower])
+                       & (sin_tile[upper] == -sin_tile[lower]))
+    source = np.where(mirrored, n - 1 - np.arange(n), np.arange(n))
+    slot = np.cumsum(~mirrored) - 1  # row of stored each unmirrored bin fills
+    return slot[source], mirrored
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def build_codebook(
     cfg: ArrayConfig, n_dis: int = DEFAULT_N_DIS, beta: float = DEFAULT_BETA
 ) -> PolarCodebook:
     """Construct the polar codebook for the given array.
 
-    A codebook larger than the memory available is a ValueError, raised
-    before anything is allocated.
+    Only the bins that no other bin mirrors are built and stored: half of
+    them at a power-of-two N. A codebook whose stored rows are larger than
+    the memory available is a ValueError, raised before anything that grows
+    with N * n_dis is allocated.
     """
     if n_dis < 1:
         raise ValueError("n_dis must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
     n = cfg.n_bs
-    need = n * n_dis * n * np.dtype(complex).itemsize
+    angles = grid_angle(n, np.arange(1, n + 1))
+    row, mirrored = _mirror_rows(angles)
+    bins = np.flatnonzero(~mirrored)  # the bins stored, in order
+    need = len(bins) * n_dis * n * np.dtype(complex).itemsize
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(f"the codebook of N = {n} with {n_dis} rings needs {need / 1e9:.3g} GB, "
                          f"more than the {available / 1e9:.3g} GB of memory available")
-    angles = grid_angle(n, np.arange(1, n + 1))
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
-    codewords = np.empty((n, n_dis, n), dtype=complex)
+    stored = np.empty((len(bins), n_dis, n), dtype=complex)
     rings = max(1, _TILE_ENTRIES // n)
 
     def fill(tile):
-        p, lo = tile
+        s, lo = tile
+        p = bins[s]
         steering_matrix(cfg, angles[p], radii[p, lo : lo + rings],
-                        out=codewords[p, lo : lo + rings])
+                        out=stored[s, lo : lo + rings])
 
-    tiles = [(p, lo) for p in range(n) for lo in range(0, n_dis, rings)]
+    tiles = [(s, lo) for s in range(len(bins)) for lo in range(0, n_dis, rings)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         for _ in pool.map(fill, tiles):  # reading each result raises a tile's error
             pass
     return PolarCodebook(
-        array=cfg, n_dis=n_dis, beta=beta, angles=angles, radii=radii, codewords=codewords
+        array=cfg, n_dis=n_dis, beta=beta, angles=_read_only(angles), radii=_read_only(radii),
+        stored=_read_only(stored), row=_read_only(row), mirrored=_read_only(mirrored),
     )
 
 
@@ -180,11 +230,15 @@ def beam_sweep(
     Scoring is noiseless by default (the pilot procedure is abstracted); with
     noise_sigma2 > 0 a CN(0, noise_sigma2) sample is added to each complex
     score before taking the magnitude. Ties break to the smallest (p, q).
+    Each stored codeword is scored against h, and against h reversed for the
+    score of its mirror image.
     """
     h = np.asarray(h)
     if np.linalg.norm(h) == 0:
         raise ValueError("cannot sweep a zero channel")
-    scores = cb.flat() @ h.conj()
+    stored = cb.stored.reshape(-1, cb.array.n_bs)
+    both = np.stack([stored @ h.conj(), stored @ h[::-1].conj()])
+    scores = both.reshape(2, -1, cb.n_dis)[cb.mirrored.astype(np.intp), cb.row].reshape(-1)
     if noise_sigma2 > 0:
         if rng is None:
             raise ValueError("noisy sweeping needs an rng")

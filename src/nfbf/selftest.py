@@ -24,6 +24,7 @@ from .geometry import (
     nearfield_steering,
     polar_to_cartesian,
     rayleigh_distance,
+    steering_matrix,
 )
 from . import hbf
 from .harness import ExperimentSpec, run_experiment
@@ -102,6 +103,30 @@ def _check_codebook_self_selection(rng) -> str:
             got = beam_sweep(cb, h)
             if got != idx:
                 return f"self-selection failed at {idx}: got {got}"
+    return ""
+
+
+def _check_codebook_mirror(rng) -> str:
+    # bins N/2+1..N are stored as their mirror images reversed; each must be
+    # bit-equal to its direct steering vector, and the sweep over the stored
+    # rows must pick what a sweep of the whole grid picks
+    cfg = ArrayConfig(n_bs=64)
+    cb = build_codebook(cfg, n_dis=40, beta=1.6)
+    if not cb.mirrored[32:].all():
+        return f"{int(cb.mirrored.sum())} of 32 bins mirrored at N = 64"
+    for p in (33, 40, 64):
+        for q in (1, 17, 40):
+            want = steering_matrix(cfg, cb.angles[p - 1], cb.radii[p - 1, q - 1])
+            if not np.array_equal(cb.codeword(CodewordIndex(p, q)), want):
+                return f"mirrored codeword ({p}, {q}) differs from its steering vector"
+    flat = cb.flat()
+    for seed in range(3):
+        for u in random_scenario(cfg, 4, 3, seed=seed).users:
+            best = int(np.argmax(np.abs(flat @ u.vector.conj())))
+            want = CodewordIndex(best // cb.n_dis + 1, best % cb.n_dis + 1)
+            got = beam_sweep(cb, u.vector)
+            if got != want:
+                return f"sweep picked {got}, the whole grid's sweep {want}"
     return ""
 
 
@@ -258,6 +283,7 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
         ("geometry-distance-oracle", _check_distance_oracle),
         ("geometry-steering-invariants", _check_steering_invariants),
         ("codebook-self-selection", _check_codebook_self_selection),
+        ("codebook-mirror", _check_codebook_mirror),
         ("codebook-aux-intervals", _check_aux_intervals),
         ("channel-determinism", _check_channel_determinism),
         ("metrics-invariants", _check_metric_invariants),

@@ -1,6 +1,7 @@
 """Tests for the polar codebook, beam sweeping, and auxiliary points."""
 
 import csv
+import dataclasses
 import threading
 
 import numpy as np
@@ -17,7 +18,18 @@ from nfbf.codebook import (
     grid_angle,
     ring_radius,
 )
-from nfbf.geometry import ArrayConfig, nearfield_steering, rayleigh_distance, steering_matrix
+from nfbf.channel import random_scenario
+from nfbf.geometry import (
+    ArrayConfig,
+    PolarCoord,
+    nearfield_steering,
+    rayleigh_distance,
+    steering_matrix,
+)
+
+# angle bins build_codebook stores: every mirror pair once at a power of two,
+# 12 of the 24 pairs at N = 48 and 30 of the 50 at N = 100
+STORED_BINS = {16: 8, 48: 36, 64: 32, 100: 70, 128: 64}
 
 
 def test_grid_angle_first_bin_n4():
@@ -86,7 +98,7 @@ def test_codewords_are_steering_vectors():
 
 
 @pytest.mark.parametrize("wavelength", [1.0, 0.01])
-@pytest.mark.parametrize("n, tile_entries, tiles", [
+@pytest.mark.parametrize("n, tile_entries, grid_tiles", [
     # the default 2^15-entry tiles hold a whole row of 320 rings up to N = 102
     (16, 1 << 15, 16), (48, 1 << 15, 48), (64, 1 << 15, 64),
     # 1100 entries hold 22 rings at N = 48: 15 tiles a row, the last of 12 rings
@@ -94,8 +106,9 @@ def test_codewords_are_steering_vectors():
 ])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_blocked_build_equals_one_whole_grid_steering_call(
-    workers, n, tile_entries, tiles, wavelength, monkeypatch
+    workers, n, tile_entries, grid_tiles, wavelength, monkeypatch
 ):
+    # grid_tiles is the tile count of the whole grid; only stored bins are built
     cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
     shapes = []
     real = nfbf.codebook.steering_matrix
@@ -105,12 +118,46 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
                         lambda *args, **kwargs: shapes.append(kwargs["out"].shape)
                         or real(*args, **kwargs))
     cb = build_codebook(cfg)
-    assert len(shapes) == tiles
-    # the tiles' rings add up to the grid, whatever np.empty left in the rest
-    assert sum(rings for rings, _ in shapes) == n * 320
+    assert len(shapes) == grid_tiles // n * STORED_BINS[n]
+    # the tiles' rings add up to the stored rows, whatever np.empty left in the rest
+    assert sum(rings for rings, _ in shapes) == STORED_BINS[n] * 320
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
     assert cb.codewords.shape == whole.shape == (n, 320, n)
     assert np.array_equal(cb.codewords, whole)
+
+
+@pytest.mark.parametrize("wavelength", [1.0, 0.01])
+@pytest.mark.parametrize("n", [16, 48, 64, 100, 128])
+def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
+    cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
+    cb = build_codebook(cfg)
+    assert cb.stored.shape == (STORED_BINS[n], 320, n)
+    if n & (n - 1) == 0:
+        assert len(cb.stored) == n // 2
+    whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
+    assert np.array_equal(cb.codewords, whole)
+    assert np.array_equal(cb.flat(), whole.reshape(-1, n))
+    # every mirrored bin reads the reversed row of its mirror image
+    for p in np.flatnonzero(cb.mirrored):
+        assert cb.row[p] == cb.row[n - 1 - p] and not cb.mirrored[n - 1 - p]
+        assert np.array_equal(cb.codeword(CodewordIndex(p + 1, 5)), whole[p, 4])
+
+
+def test_codebook_is_read_only():
+    cb = build_codebook(ArrayConfig(n_bs=16), n_dis=4)
+    # bin 12 mirrors bin 5: a write into either view would change both
+    for p in (5, 12):
+        with pytest.raises(ValueError, match="read-only"):
+            cb.codeword(CodewordIndex(p, 2))[0] = 0.0
+    for field in ("angles", "radii", "stored", "row", "mirrored"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cb, field)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cb.n_dis = 5
+    # the materialized grid is a copy the caller may write
+    grid = cb.codewords
+    grid[:] = 0.0
+    assert np.all(np.abs(cb.codewords) > 0)
 
 
 def test_build_leaves_no_worker_thread_running(monkeypatch):
@@ -125,7 +172,7 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
         pass
 
     cfg = ArrayConfig(n_bs=16)
-    bad_angle = grid_angle(16, 9)
+    bad_angle = grid_angle(16, 8)  # a stored bin; bin 9 mirrors it and is not built
     real = nfbf.codebook.steering_matrix
 
     def steer(cfg, angles, radii, out=None):
@@ -140,10 +187,10 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
 
 
 def test_oversized_codebook_fails_before_allocating():
-    # N = 200 000 with 320 rings would need about 2e14 bytes
+    # N = 200 000 with 320 rings stores 141 454 bins, about 1.4e14 bytes
     if nfbf.codebook._available_memory() is None:
         pytest.skip("no readable memory figure on this platform")
-    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 2.05e\+05 GB"):
+    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 1.45e\+05 GB"):
         build_codebook(ArrayConfig(n_bs=200_000))
 
 
@@ -157,10 +204,10 @@ def test_available_memory_is_the_smaller_readable_limit(tmp_path, monkeypatch):
     assert nfbf.codebook._available_memory() == 4000000 * 1024
     v2.write_text("1000000\n")
     assert nfbf.codebook._available_memory() == 1000000
-    # a codebook over the limit fails; one within it builds
+    # a codebook whose 8 stored bins are over the limit fails; one within it builds
     with pytest.raises(ValueError, match="GB of memory available"):
-        build_codebook(ArrayConfig(n_bs=16), n_dis=245)
-    assert build_codebook(ArrayConfig(n_bs=16), n_dis=244).codewords.nbytes <= 1000000
+        build_codebook(ArrayConfig(n_bs=16), n_dis=489)
+    assert build_codebook(ArrayConfig(n_bs=16), n_dis=488).stored.nbytes <= 1000000
     monkeypatch.setattr(nfbf.codebook, "_MEMINFO", str(v1))
     monkeypatch.setattr(nfbf.codebook, "_CGROUP_LIMITS", (str(v1),))
     assert nfbf.codebook._available_memory() is None
@@ -205,14 +252,31 @@ def test_beam_sweep_exhaustive_oracle():
 
 
 def test_beam_sweep_tie_breaks_to_first():
-    # duplicate rows force an exact tie; the smallest (p, q) must win
-    cfg = ArrayConfig(n_bs=4)
-    cb = build_codebook(cfg, n_dis=2)
-    cb.codewords = np.broadcast_to(
-        cb.codewords[2, 1], cb.codewords.shape
-    ).copy()
-    got = beam_sweep(cb, np.ones(4, dtype=complex))
-    assert got == CodewordIndex(p=1, q=1)
+    # a broadside-symmetric channel scores bins p and N+1-p exactly alike; the
+    # smaller p must win
+    for n in (4, 16, 64):
+        cfg = ArrayConfig(n_bs=n)
+        cb = build_codebook(cfg, n_dis=8)
+        h = nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[n // 2, 2])))
+        assert np.array_equal(h, h[::-1])
+        # the full grid's product sums each pair in a different order, so its
+        # pair ties only to rounding
+        scores = np.abs(cb.codewords @ h.conj())
+        p, q = np.unravel_index(np.argmax(scores), scores.shape)
+        assert scores[n - 1 - p, q] == pytest.approx(scores[p, q], rel=1e-12)
+        assert beam_sweep(cb, h) == CodewordIndex(p=min(p, n - 1 - p) + 1, q=q + 1)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_beam_sweep_matches_the_full_grid_sweep(n):
+    # the oracle is the sweep of the materialized grid: argmax |flat() @ h*|
+    cfg = ArrayConfig(n_bs=n)
+    cb = build_codebook(cfg)
+    hs = np.stack([u.vector for seed in range(100)
+                   for u in random_scenario(cfg, 4, 3, seed=seed).users])
+    want = np.argmax(np.abs(cb.flat() @ hs.conj().T), axis=0)
+    got = [beam_sweep(cb, h) for h in hs]
+    assert [(i.p - 1) * cb.n_dis + i.q - 1 for i in got] == want.tolist()
 
 
 def test_beam_sweep_zero_channel_error():
