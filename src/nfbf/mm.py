@@ -16,14 +16,19 @@ starting columns and the rule for mu.
 
 All K columns of a trial iterate together on one stack U of every user's
 rows: G F = U^T (W o (U^* F)) + F diag(omega mu), with W[r, k] = 1 on user
-k's rows and -omega elsewhere. No N x N matrix is formed, and an iteration
-costs about 2 K (sum R) N multiply-adds in two matrix products. Trials whose
-users have equal row counts iterate as one (T, N, K) batch through batched
-matrix products, each trial's slice its own product, so a trial's result is
+k's rows and -omega elsewhere. Its low-rank part U^T (W o (U^* F)) takes
+one of two forms, chosen by flop count. With R rows per user and N <= K R
+(imperfect CSI at N <= K R S), each user's part L_k = U^T diag(W[:, k]) U^*
+is formed once as an N x N matrix, and a column costs N^2 multiply-adds in
+one matrix-vector product. Otherwise, as in every perfect-CSI design with
+K < N, no N x N matrix is formed, and a column costs about 2 K R N in two
+matrix products. The choice reads only N, K and R. Trials whose users have
+equal row counts iterate as one (T, N, K) batch through batched matrix
+products, each trial's slice its own product, so a trial's result is
 bit-identical to its design alone. A converged column is masked, keeping its
 own count, trace and value; a trial whose columns are all masked leaves the
-batch. The loop reads the objective trace off the low-rank part
-of that product: obj(f) = omega mu ||f||^2 - Re(f^H G f) = -Re(f^H U^T (W o U^* f)),
+batch. The loop reads the objective trace off the low-rank part of that
+product: obj(f) = omega mu ||f||^2 - Re(f^H G f) = -Re(f^H U^T (W o U^* f)),
 so no term of size omega mu is subtracted.
 """
 
@@ -126,14 +131,29 @@ _IMPERFECT_MU = {
 }
 
 
+def _dense_form(n: int, k_users: int, r_count: int) -> bool:
+    """Whether users with r_count rows each iterate on N x N matrices.
+
+    A column costs N^2 multiply-adds on its user's matrix against about
+    2 K R N in the low-rank product, but a matrix-vector product streams its
+    matrix at a lower rate than the low-rank matrix products run, so the
+    dense form is taken only up to N = K R. The rule reads no trial count, so
+    a trial takes the same form, and gives the same bits, in any batch.
+    """
+    return n <= k_users * r_count
+
+
 class _UpdateProduct:
     """Every user's G_k f_k at once, for every trial of a batch.
 
     rows is (T, K, R, N): user k of trial t has the R rows rows[t, k]. With U
     a trial's (K R, N) stack of rows and W[r, k] = 1 where row r is user k's
     and -omega otherwise, G F = U^T (W o (U^* F)) + F diag(omega mu), column k
-    being G_k f_k; no N x N matrix is formed. Each trial's slice is its own
-    matrix product, so no trial's columns reach another's.
+    being G_k f_k. Where _dense_form holds, the low-rank part of each user's
+    G_k is formed once, dense[t, k] = U^T diag(W[:, k]) U^*, an N x N matrix,
+    and each column is one matrix-vector product; otherwise no N x N matrix
+    is formed. Each trial's slice is its own matrix product, so no trial's
+    columns reach another's.
     """
 
     def __init__(self, rows: np.ndarray, omega: float, mu_rule):
@@ -141,8 +161,7 @@ class _UpdateProduct:
         # same BLAS and SIMD paths
         rows = np.ascontiguousarray(rows)
         t_count, k_users, r_count, n = rows.shape
-        self.stack = rows.reshape(t_count, k_users * r_count, n)
-        self.rows_conj = self.stack.conj()
+        stack = rows.reshape(t_count, k_users * r_count, n)
         own = np.repeat(np.arange(k_users), r_count)[:, None] == np.arange(k_users)
         # complex, so the product's elementwise step casts nothing
         self.weights = np.where(own, 1.0, -omega).astype(complex)
@@ -150,15 +169,34 @@ class _UpdateProduct:
         mu = [mu_rule(np.delete(rows, k, axis=1)) if k_users > 1 else np.zeros(t_count)
               for k in range(k_users)]
         self.shift = omega * np.stack(mu, axis=-1)[:, None, :]
+        if _dense_form(n, k_users, r_count):
+            # one trial's conjugate rows and one user's weighted copy at a time
+            self.dense = np.empty((t_count, k_users, n, n), dtype=complex)
+            for t in range(t_count):
+                rows_conj = stack[t].conj()
+                for k in range(k_users):
+                    np.matmul(stack[t].mT, self.weights[:, k, None] * rows_conj,
+                              out=self.dense[t, k])
+        else:
+            self.dense = None
+            self.stack, self.rows_conj = stack, stack.conj()
 
     def keep(self, trials: np.ndarray) -> None:
         """Drop every trial whose entry in the boolean mask is False."""
-        self.stack, self.rows_conj = self.stack[trials], self.rows_conj[trials]
+        if self.dense is None:
+            self.stack, self.rows_conj = self.stack[trials], self.rows_conj[trials]
+        else:
+            self.dense = self.dense[trials]
         self.shift = self.shift[trials]
 
     def __call__(self, f: np.ndarray) -> tuple:
         """(G F - F diag(omega mu), G F) for the (T, N, K) columns f."""
-        low = self.stack.mT @ (self.weights * (self.rows_conj @ f))
+        if self.dense is None:
+            low = self.stack.mT @ (self.weights * (self.rows_conj @ f))
+        else:
+            # one matrix-vector product per column, then back to the columns'
+            # layout, so the elementwise steps run contiguous
+            low = np.ascontiguousarray((self.dense @ f.mT[..., None])[..., 0].mT)
         return low, low + f * self.shift
 
 
@@ -169,8 +207,11 @@ def _project(gf: np.ndarray, f: np.ndarray) -> np.ndarray:
     optimal there; retention keeps the update deterministic).
     """
     mag = np.abs(gf)
-    out = f.astype(complex)
-    np.divide(gf, mag * np.sqrt(f.shape[-2]), out=out, where=mag > 0)
+    if mag.all():
+        return gf / (mag * np.sqrt(f.shape[-2]))
+    with np.errstate(invalid="ignore"):
+        out = gf / (mag * np.sqrt(f.shape[-2]))
+    np.copyto(out, f, where=mag == 0)
     return out
 
 

@@ -26,7 +26,7 @@ from .geometry import (
     rayleigh_distance,
     steering_matrix,
 )
-from . import hbf
+from . import hbf, mm
 from .harness import ExperimentSpec, run_experiment
 from .hbf import analog_beam_steering, effective_channel, hbf_wmmse, hbf_zf
 from .metrics import beam_gain, sum_rate
@@ -205,6 +205,25 @@ def _check_mm_descent(rng) -> str:
     return ""
 
 
+def _check_mm_product_forms(rng) -> str:
+    # N = 16 <= K R S = 48 takes the dense form; its (low, gf) must match the
+    # low-rank product of the same rows within 1e-12
+    t_count, k_users, rs, n = 3, 3, 16, 16
+    shape = (t_count, k_users, rs, n)
+    rows = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n)
+    f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (t_count, n, k_users))) / np.sqrt(n)
+    product = mm._UpdateProduct(rows, 1000.0, mm._IMPERFECT_MU[mm.MU_SPECTRAL])
+    if product.dense is None:
+        return "N = 16, K R S = 48 did not take the dense form"
+    stack = rows.reshape(t_count, k_users * rs, n)
+    low = stack.mT @ (product.weights * (stack.conj() @ f))
+    for name, got, want in zip(("low", "gf"), product(f), (low, low + f * product.shift)):
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        if err > 1e-12:
+            return f"dense and low-rank {name} differ by {err:.1e} relative"
+    return ""
+
+
 def _check_hbf_invariants(rng) -> str:
     # the 5 seeds' WMMSE problems run as one batch; every power-limited step
     # must meet its budget, and each seed's composite, count, flag and trace
@@ -288,6 +307,7 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
         ("channel-determinism", _check_channel_determinism),
         ("metrics-invariants", _check_metric_invariants),
         ("mm-descent-and-modulus", _check_mm_descent),
+        ("mm-product-forms", _check_mm_product_forms),
         ("hbf-invariants", _check_hbf_invariants),
         ("harness-all-schemes-deterministic", _check_all_schemes_emit_valid_beamformers),
     ]

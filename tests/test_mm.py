@@ -15,9 +15,12 @@ from nfbf.codebook import (
 from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.metrics import ANALOG_ONLY
 from nfbf.mm import (
+    _IMPERFECT_MU,
     _PERFECT_MU,
     MMConfig,
+    _dense_form,
     _design,
+    _UpdateProduct,
     _top_gram_eigenvalue,
     aobf_imperfect_csi,
     aobf_perfect_csi,
@@ -656,3 +659,82 @@ def test_spectral_mu_from_the_smaller_gram(rs, gram_size, monkeypatch):
         monkeypatch.undo()
         assert sizes == [(gram_size, gram_size)]
         assert got == pytest.approx(float(eigvalsh(z_int)[-1]), rel=1e-12, abs=0)
+
+
+def _random_rows(seed, t, k, rs, n):
+    """(t, k, rs, n) random rows of norm about 1."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((t, k, rs, n)) + 1j * rng.standard_normal((t, k, rs, n))) / np.sqrt(2 * n)
+
+
+@pytest.mark.parametrize("n, k, rs, dense", [
+    (64, 4, 16, True), (64, 4, 36, True), (64, 4, 1, False), (128, 4, 16, False),
+    (256, 4, 16, False),
+])
+def test_product_form_follows_the_flop_rule(n, k, rs, dense):
+    # dense N x N matrices wherever N <= K R S, the low-rank product elsewhere,
+    # whatever the trial count
+    assert _dense_form(n, k, rs) is dense
+    for t in (1, 3):
+        product = _UpdateProduct(_random_rows(0, t, k, rs, n), 1000.0, _IMPERFECT_MU["spectral"])
+        assert (product.dense is not None) is dense
+        if dense:
+            assert product.dense.shape == (t, k, n, n)
+            assert not hasattr(product, "stack") and not hasattr(product, "rows_conj")
+
+
+def test_perfect_csi_takes_the_low_rank_form(monkeypatch):
+    # one row per user and K < N: no N x N matrix is formed
+    forms = []
+    dense_form = nfbf.mm._dense_form
+
+    def spy(*shape):
+        forms.append((shape, dense_form(*shape)))
+        return forms[-1][1]
+
+    monkeypatch.setattr(nfbf.mm, "_dense_form", spy)
+    scs = [random_scenario(ArrayConfig(n_bs=64), 4, 3, seed=seed) for seed in range(2)]
+    aobf_perfect_csi(scs, MMConfig(t_max=3))
+    assert forms == [((64, 4, 1), False)]
+
+
+@pytest.mark.parametrize("k, rs", [(4, 16), (4, 36), (4, 1)])
+def test_both_product_forms_agree(k, rs, monkeypatch):
+    # the same batch through each form: (low, gf) within 1e-12 of the larger entry
+    rows = _random_rows(1, 3, k, rs, 64)
+    rng = np.random.default_rng(2)
+    f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 64, k))) / 8.0
+    mu_rule = _IMPERFECT_MU["spectral"]
+    chosen = _UpdateProduct(rows, 1000.0, mu_rule)
+    dense_form = nfbf.mm._dense_form
+    monkeypatch.setattr(nfbf.mm, "_dense_form", lambda *shape: not dense_form(*shape))
+    other = _UpdateProduct(rows, 1000.0, mu_rule)
+    assert (chosen.dense is None) != (other.dense is None)
+    for got, want in zip(chosen(f), other(f)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_dense_form_batch_drops_converged_trials(monkeypatch):
+    # N = 16, K = 3, R = S = 4 takes the dense form; a large epsilon makes the
+    # four trials converge at different iterations, each leaves the batch
+    # through keep(), and each trial stays bit-equal to its design alone
+    cfg = ArrayConfig(n_bs=16)
+    cb = build_codebook(cfg, n_dis=40)
+    scs = [random_scenario(cfg, 3, 2, seed=seed) for seed in range(4)]
+    indices = [[beam_sweep(cb, u.vector) for u in sc.users] for sc in scs]
+    mm = MMConfig(epsilon=1e-4)
+    alone = [aobf_imperfect_csi(cb, idx, 4, 4, mm) for idx in indices]
+    ends = [max(rep.iterations_used) for _, rep in alone]
+    assert len(set(ends)) == 4 and max(ends) < mm.t_max
+    left = []
+    keep = nfbf.mm._UpdateProduct.keep
+
+    def spy(self, trials):
+        keep(self, trials)
+        left.append(len(self.dense))
+
+    monkeypatch.setattr(nfbf.mm._UpdateProduct, "keep", spy)
+    f, rep = aobf_imperfect_csi(cb, indices, 4, 4, mm)
+    assert left == [sum(end > e for end in ends) for e in sorted(ends)[:-1]]
+    for t, one in enumerate(alone):
+        _assert_trial_equals_alone(f, rep, t, one)
