@@ -124,9 +124,12 @@ def _add_common(sp, *names) -> None:
         sp.add_argument("--out", help="output path (default: stdout)")
     if "format" in names:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    if "lists" in names:
+    # only the list flags a subcommand reads: an ignored one is a usage error
+    if "snr_db" in names:
         sp.add_argument("--snr-db", type=_float_list, help="comma-separated SNR values (dB)")
+    if "n_bs" in names:
         sp.add_argument("--nbs", dest="n_bs", type=_int_list, help="comma-separated antenna counts")
+    if "k" in names:
         sp.add_argument("--k", type=_int_list, help="comma-separated user counts")
 
 
@@ -137,15 +140,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("run", help="run a sweep experiment")
-    _add_common(sp, "config", "seed", "trials", "out", "format", "lists")
+    _add_common(sp, "config", "seed", "trials", "out", "format", "snr_db", "n_bs", "k")
     sp.set_defaults(fn=_cmd_run)
 
     sp = sub.add_parser("pattern", help="fixed-location beam patterns")
-    _add_common(sp, "config", "seed", "out", "lists")
+    _add_common(sp, "config", "seed", "out", "snr_db", "n_bs")
     sp.set_defaults(fn=_cmd_pattern)
 
     sp = sub.add_parser("codebook", help="export the polar codebook")
-    _add_common(sp, "config", "out", "lists")
+    _add_common(sp, "config", "out", "n_bs")
     sp.set_defaults(fn=_cmd_codebook)
 
     sp = sub.add_parser("selftest", help="run the invariant suite")

@@ -47,10 +47,12 @@ class CodewordIndex:
 class PolarCodebook:
     """Immutable angle-by-distance grid of unit-norm near-field codewords.
 
-    Each mirror pair of angle bins is stored once: where bin N+1-p is the exact
-    mirror image of bin p (see _mirror_rows), its codewords are bin p's
-    reversed along the antenna axis and are not stored. Bin p reads
-    stored[row[p-1]], reversed where mirrored[p-1]. Every array is read-only.
+    The grid sines of bins p and N+1-p are exact negations (see grid_angle),
+    so their radii rows are equal and, the element offsets being
+    antisymmetric, bin N+1-p's codewords are bin p's reversed along the
+    antenna axis, bit for bit. Only bins 1..ceil(N/2) are stored: bin p reads
+    stored[p-1] where p <= ceil(N/2), else stored[N-p] reversed. Every array
+    is read-only.
     """
 
     array: ArrayConfig
@@ -58,22 +60,21 @@ class PolarCodebook:
     beta: float
     angles: np.ndarray  # (P,) grid angles, strictly increasing
     radii: np.ndarray  # (P, Q) ring radii, strictly decreasing in q
-    stored: np.ndarray  # (S, Q, N) complex, the codewords of the bins no other bin mirrors
-    row: np.ndarray  # (P,) the row of stored each bin reads
-    mirrored: np.ndarray  # (P,) bool, the bins that read their row reversed
+    stored: np.ndarray  # (ceil(P/2), Q, N) complex, the codewords of bins 1..ceil(P/2)
 
     def codeword(self, idx: CodewordIndex) -> np.ndarray:
         """Read-only (N,) view of codeword idx."""
         self._check(idx)
-        word = self.stored[self.row[idx.p - 1], idx.q - 1]
-        return word[::-1] if self.mirrored[idx.p - 1] else word
+        p = idx.p - 1
+        if p < len(self.stored):
+            return self.stored[p, idx.q - 1]
+        return self.stored[self.array.n_bs - 1 - p, idx.q - 1, ::-1]
 
     @property
     def codewords(self) -> np.ndarray:
         """(P, Q, N) copy of the whole grid, mirrored bins included."""
-        full = self.stored[self.row]
-        full[self.mirrored] = full[self.mirrored, :, ::-1]
-        return full
+        mirrored = self.array.n_bs - len(self.stored)
+        return np.concatenate([self.stored, self.stored[:mirrored][::-1, :, ::-1]])
 
     def location(self, idx: CodewordIndex) -> PolarCoord:
         self._check(idx)
@@ -110,11 +111,14 @@ class AuxiliaryGrid:
 def grid_angle(n_bs: int, p, r_count: int = 1) -> np.ndarray:
     """Angle of bin p on an r_count-times refined sin-domain grid.
 
-    With r_count=1 this is the codebook angle arcsin((2p-1)/N - 1); refined
-    grids place r_count angles inside each original bin.
+    The sine is (2p - 1 - m) / m with m = r_count * N: its numerator is an
+    exact integer, so bins p and m+1-p have exactly negated sines at every N.
+    With r_count=1 this is the codebook angle; refined grids place r_count
+    angles inside each original bin.
     """
     p = np.asarray(p, dtype=float)
-    return np.arcsin((2.0 * p - 1.0) / (r_count * n_bs) - 1.0)
+    m = r_count * n_bs
+    return np.arcsin((2.0 * p - 1.0 - m) / m)
 
 
 def _ring_scale(cfg: ArrayConfig, beta: float) -> float:
@@ -148,28 +152,6 @@ def _available_memory() -> int | None:
     return min(found) if found else None
 
 
-def _mirror_rows(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, mirrored) of PolarCodebook for the grid angles.
-
-    Bin N+1-p mirrors bin p < N+1-p where both sines its codewords are built
-    from are exact negations of bin p's: the array sine the radii square, and
-    the scalar sine element_distances takes of each tile's angle. Then the
-    radii rows are equal and, the element offsets being antisymmetric, every
-    element distance is bit-equal to bin p's at the reversed element.
-    """
-    n = len(angles)
-    sin_grid = np.sin(angles)
-    sin_tile = np.array([np.sin(np.asarray(a, dtype=float)) for a in angles])
-    upper = np.arange((n + 1) // 2, n)
-    lower = n - 1 - upper
-    mirrored = np.zeros(n, dtype=bool)
-    mirrored[upper] = ((sin_grid[upper] == -sin_grid[lower])
-                       & (sin_tile[upper] == -sin_tile[lower]))
-    source = np.where(mirrored, n - 1 - np.arange(n), np.arange(n))
-    slot = np.cumsum(~mirrored) - 1  # row of stored each unmirrored bin fills
-    return slot[source], mirrored
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -180,8 +162,8 @@ def build_codebook(
 ) -> PolarCodebook:
     """Construct the polar codebook for the given array.
 
-    Only the bins that no other bin mirrors are built and stored: half of
-    them at a power-of-two N. A codebook whose stored rows are larger than
+    Only bins 1..ceil(N/2) are built and stored; the rest are their mirror
+    images (see PolarCodebook). A codebook whose stored rows are larger than
     the memory available is a ValueError, raised before anything that grows
     with N * n_dis is allocated.
     """
@@ -191,31 +173,29 @@ def build_codebook(
         raise ValueError("beta must be positive")
     n = cfg.n_bs
     angles = grid_angle(n, np.arange(1, n + 1))
-    row, mirrored = _mirror_rows(angles)
-    bins = np.flatnonzero(~mirrored)  # the bins stored, in order
-    need = len(bins) * n_dis * n * np.dtype(complex).itemsize
+    half = (n + 1) // 2
+    need = half * n_dis * n * np.dtype(complex).itemsize
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(f"the codebook of N = {n} with {n_dis} rings needs {need / 1e9:.3g} GB, "
                          f"more than the {available / 1e9:.3g} GB of memory available")
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
-    stored = np.empty((len(bins), n_dis, n), dtype=complex)
+    stored = np.empty((half, n_dis, n), dtype=complex)
     rings = max(1, _TILE_ENTRIES // n)
 
     def fill(tile):
-        s, lo = tile
-        p = bins[s]
+        p, lo = tile
         steering_matrix(cfg, angles[p], radii[p, lo : lo + rings],
-                        out=stored[s, lo : lo + rings])
+                        out=stored[p, lo : lo + rings])
 
-    tiles = [(s, lo) for s in range(len(bins)) for lo in range(0, n_dis, rings)]
+    tiles = [(p, lo) for p in range(half) for lo in range(0, n_dis, rings)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         for _ in pool.map(fill, tiles):  # reading each result raises a tile's error
             pass
     return PolarCodebook(
         array=cfg, n_dis=n_dis, beta=beta, angles=_read_only(angles), radii=_read_only(radii),
-        stored=_read_only(stored), row=_read_only(row), mirrored=_read_only(mirrored),
+        stored=_read_only(stored),
     )
 
 
@@ -237,8 +217,10 @@ def beam_sweep(
     if np.linalg.norm(h) == 0:
         raise ValueError("cannot sweep a zero channel")
     stored = cb.stored.reshape(-1, cb.array.n_bs)
-    both = np.stack([stored @ h.conj(), stored @ h[::-1].conj()])
-    scores = both.reshape(2, -1, cb.n_dis)[cb.mirrored.astype(np.intp), cb.row].reshape(-1)
+    direct = (stored @ h.conj()).reshape(-1, cb.n_dis)
+    reverse = (stored @ h[::-1].conj()).reshape(-1, cb.n_dis)
+    mirrored = cb.array.n_bs - len(cb.stored)  # bins ceil(N/2)+1..N read rows N-ceil(N/2)-1..0
+    scores = np.concatenate([direct, reverse[:mirrored][::-1]]).reshape(-1)
     if noise_sigma2 > 0:
         if rng is None:
             raise ValueError("noisy sweeping needs an rng")

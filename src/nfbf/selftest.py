@@ -107,26 +107,26 @@ def _check_codebook_self_selection(rng) -> str:
 
 
 def _check_codebook_mirror(rng) -> str:
-    # bins N/2+1..N are stored as their mirror images reversed; each must be
+    # bins ceil(N/2)+1..N are read as their mirror images reversed, which
+    # holds only where this install's sin and arcsin are odd: each must be
     # bit-equal to its direct steering vector, and the sweep over the stored
     # rows must pick what a sweep of the whole grid picks
-    cfg = ArrayConfig(n_bs=64)
-    cb = build_codebook(cfg, n_dis=40, beta=1.6)
-    if not cb.mirrored[32:].all():
-        return f"{int(cb.mirrored.sum())} of 32 bins mirrored at N = 64"
-    for p in (33, 40, 64):
-        for q in (1, 17, 40):
-            want = steering_matrix(cfg, cb.angles[p - 1], cb.radii[p - 1, q - 1])
-            if not np.array_equal(cb.codeword(CodewordIndex(p, q)), want):
-                return f"mirrored codeword ({p}, {q}) differs from its steering vector"
-    flat = cb.flat()
-    for seed in range(3):
-        for u in random_scenario(cfg, 4, 3, seed=seed).users:
-            best = int(np.argmax(np.abs(flat @ u.vector.conj())))
-            want = CodewordIndex(best // cb.n_dis + 1, best % cb.n_dis + 1)
-            got = beam_sweep(cb, u.vector)
-            if got != want:
-                return f"sweep picked {got}, the whole grid's sweep {want}"
+    for n in (64, 63):
+        cfg = ArrayConfig(n_bs=n)
+        cb = build_codebook(cfg, n_dis=40, beta=1.6)
+        for p in ((n + 1) // 2 + 1, 40, n):
+            for q in (1, 17, 40):
+                want = steering_matrix(cfg, cb.angles[p - 1], cb.radii[p - 1, q - 1])
+                if not np.array_equal(cb.codeword(CodewordIndex(p, q)), want):
+                    return f"mirrored codeword ({p}, {q}) of N = {n} differs from its steering vector"
+        flat = cb.flat()
+        for seed in range(3):
+            for u in random_scenario(cfg, 4, 3, seed=seed).users:
+                best = int(np.argmax(np.abs(flat @ u.vector.conj())))
+                want = CodewordIndex(best // cb.n_dis + 1, best % cb.n_dis + 1)
+                got = beam_sweep(cb, u.vector)
+                if got != want:
+                    return f"sweep at N = {n} picked {got}, the whole grid's sweep {want}"
     return ""
 
 

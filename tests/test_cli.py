@@ -160,7 +160,7 @@ def test_malformed_config_exits_2(tmp_path):
 
 
 def test_run_exits_2_on_a_codebook_too_large_for_memory():
-    # N = 200 000 would need about 2e14 bytes; the run fails before allocating
+    # N = 200 000 would need about 1e14 bytes; the run fails before allocating
     if nfbf.codebook._available_memory() is None:
         pytest.skip("no readable memory figure on this platform")
     code, out, err = _run(["run", "--nbs", "200000", "--trials", "1"])
@@ -219,3 +219,15 @@ def test_selftest_passes_and_exits_zero():
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["pattern", "--k", "5"],
+    ["codebook", "--snr-db", "5", "--out", "cb.csv"],
+])
+def test_a_list_flag_the_subcommand_ignores_exits_2(argv, capsys):
+    # pattern designs its own users and codebook reads neither users nor SNR
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

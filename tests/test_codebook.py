@@ -27,25 +27,23 @@ from nfbf.geometry import (
     steering_matrix,
 )
 
-# angle bins build_codebook stores: every mirror pair once at a power of two,
-# 12 of the 24 pairs at N = 48 and 30 of the 50 at N = 100
-STORED_BINS = {16: 8, 48: 36, 64: 32, 100: 70, 128: 64}
-
-
 def test_grid_angle_first_bin_n4():
-    # arcsin((2*1-1)/4 - 1) = arcsin(-0.75)
+    # arcsin((2*1 - 1 - 4) / 4) = arcsin(-0.75)
     assert float(grid_angle(4, 1)) == pytest.approx(-0.848062078981481, rel=1e-15)
 
 
 def test_grid_angles_monotone_and_sin_spaced():
-    for n in (4, 16, 64):
-        ang = grid_angle(n, np.arange(1, n + 1))
-        assert np.all(np.diff(ang) > 0)
-        # uniform 2/N spacing in the sin domain, symmetric about zero
-        s = np.sin(ang)
-        assert np.allclose(np.diff(s), 2.0 / n, rtol=0, atol=1e-12)
-        assert np.allclose(s, -s[::-1], rtol=0, atol=1e-12)
-        assert np.all(np.abs(ang) < np.pi / 2)
+    for n in (4, 16, 48, 64, 100):
+        for r_count in (1, 3, 6):
+            m = r_count * n
+            ang = grid_angle(n, np.arange(1, m + 1), r_count)
+            assert np.all(np.diff(ang) > 0)
+            # uniform 2/m spacing in the sin domain, exactly symmetric about
+            # zero: the codebook stores one bin of each mirror pair on it
+            s = np.sin(ang)
+            assert np.allclose(np.diff(s), 2.0 / m, rtol=0, atol=1e-12)
+            assert np.array_equal(s, -s[::-1]), (n, r_count)
+            assert np.all(np.abs(ang) < np.pi / 2)
 
 
 def test_ring_radius_oracle_and_halving():
@@ -118,9 +116,9 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
                         lambda *args, **kwargs: shapes.append(kwargs["out"].shape)
                         or real(*args, **kwargs))
     cb = build_codebook(cfg)
-    assert len(shapes) == grid_tiles // n * STORED_BINS[n]
+    assert len(shapes) == grid_tiles // n * ((n + 1) // 2)
     # the tiles' rings add up to the stored rows, whatever np.empty left in the rest
-    assert sum(rings for rings, _ in shapes) == STORED_BINS[n] * 320
+    assert sum(rings for rings, _ in shapes) == (n + 1) // 2 * 320
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
     assert cb.codewords.shape == whole.shape == (n, 320, n)
     assert np.array_equal(cb.codewords, whole)
@@ -131,16 +129,23 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
 def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
     cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
     cb = build_codebook(cfg)
-    assert cb.stored.shape == (STORED_BINS[n], 320, n)
-    if n & (n - 1) == 0:
-        assert len(cb.stored) == n // 2
+    assert cb.stored.shape == ((n + 1) // 2, 320, n)
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
     assert np.array_equal(cb.codewords, whole)
     assert np.array_equal(cb.flat(), whole.reshape(-1, n))
-    # every mirrored bin reads the reversed row of its mirror image
-    for p in np.flatnonzero(cb.mirrored):
-        assert cb.row[p] == cb.row[n - 1 - p] and not cb.mirrored[n - 1 - p]
+    for p in range(n):
         assert np.array_equal(cb.codeword(CodewordIndex(p + 1, 5)), whole[p, 4])
+
+
+def test_every_small_grid_equals_one_whole_grid_steering_call():
+    # bins ceil(N/2)+1..N are read as reversed stored rows at every N, odd and
+    # even, powers of two or not
+    for n in range(2, 131):
+        cfg = ArrayConfig(n_bs=n)
+        cb = build_codebook(cfg, n_dis=3)
+        assert len(cb.stored) == (n + 1) // 2
+        whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
+        assert np.array_equal(cb.codewords, whole), n
 
 
 def test_codebook_is_read_only():
@@ -149,7 +154,7 @@ def test_codebook_is_read_only():
     for p in (5, 12):
         with pytest.raises(ValueError, match="read-only"):
             cb.codeword(CodewordIndex(p, 2))[0] = 0.0
-    for field in ("angles", "radii", "stored", "row", "mirrored"):
+    for field in ("angles", "radii", "stored"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(cb, field)[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -187,10 +192,10 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
 
 
 def test_oversized_codebook_fails_before_allocating():
-    # N = 200 000 with 320 rings stores 141 454 bins, about 1.4e14 bytes
+    # N = 200 000 with 320 rings stores 100 000 bins, about 1.0e14 bytes
     if nfbf.codebook._available_memory() is None:
         pytest.skip("no readable memory figure on this platform")
-    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 1.45e\+05 GB"):
+    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 1.02e\+05 GB"):
         build_codebook(ArrayConfig(n_bs=200_000))
 
 
@@ -267,7 +272,7 @@ def test_beam_sweep_tie_breaks_to_first():
         assert beam_sweep(cb, h) == CodewordIndex(p=min(p, n - 1 - p) + 1, q=q + 1)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("n", [16, 32, 33, 48, 64, 100, 128, 256])
 def test_beam_sweep_matches_the_full_grid_sweep(n):
     # the oracle is the sweep of the materialized grid: argmax |flat() @ h*|
     cfg = ArrayConfig(n_bs=n)
