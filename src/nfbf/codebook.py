@@ -199,19 +199,12 @@ def build_codebook(
     )
 
 
-def beam_sweep(
-    cb: PolarCodebook,
-    h: np.ndarray,
-    noise_sigma2: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> CodewordIndex:
+def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     """Best codeword index argmax_{p,q} |h^H v_{p,q}|.
 
-    Scoring is noiseless by default (the pilot procedure is abstracted); with
-    noise_sigma2 > 0 a CN(0, noise_sigma2) sample is added to each complex
-    score before taking the magnitude. Ties break to the smallest (p, q).
-    Each stored codeword is scored against h, and against h reversed for the
-    score of its mirror image.
+    Scoring is noiseless (the pilot procedure is abstracted), and ties break
+    to the smallest (p, q). Each stored codeword is scored against h, and
+    against h reversed for the score of its mirror image.
     """
     h = np.asarray(h)
     if np.linalg.norm(h) == 0:
@@ -221,13 +214,6 @@ def beam_sweep(
     reverse = (stored @ h[::-1].conj()).reshape(-1, cb.n_dis)
     mirrored = cb.array.n_bs - len(cb.stored)  # bins ceil(N/2)+1..N read rows N-ceil(N/2)-1..0
     scores = np.concatenate([direct, reverse[:mirrored][::-1]]).reshape(-1)
-    if noise_sigma2 > 0:
-        if rng is None:
-            raise ValueError("noisy sweeping needs an rng")
-        m = scores.shape[0]
-        scores = scores + np.sqrt(noise_sigma2 / 2.0) * (
-            rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        )
     idx = int(np.argmax(np.abs(scores)))  # first max = lexicographic smallest
     return CodewordIndex(p=idx // cb.n_dis + 1, q=idx % cb.n_dis + 1)
 

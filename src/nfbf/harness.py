@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import collections
 import csv
-import functools
 import io
 import json
 import typing
@@ -85,9 +84,10 @@ SWEEP_AXES = {
 EXPERIMENTS = tuple(SWEEP_AXES)
 DEFAULT_PATTERN_LOCATIONS = ((-23.57, 50.0), (17.46, 150.0), (-64.16, 100.0))
 _EST_STREAM = 0x5EED  # fixed offset stream for estimation-noise draws
-# Trials run_experiment holds at once: it draws and sweeps this many, designs
-# their analog beams as one MM batch per design, then computes their rates,
-# so memory stays bounded however many trials a run has.
+# Trials run_experiment holds at once: it draws and sweeps this many, builds
+# one design table per array and K (each MM regime and grid, and all WMMSE
+# problems, as one batch), then computes their rates, so memory stays bounded
+# however many trials a run has.
 TRIAL_CHUNK = 32
 CSV_HEADER = ("sweep", "scheme", "metric", "mean", "stderr", "trials")
 
@@ -187,133 +187,105 @@ def _est_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng((_EST_STREAM, seed))
 
 
-def _pilot_noise(spec: ExperimentSpec, csi: str, sigma2: float) -> float:
-    """Pilot-noise power of a regime's effective channel at noise power sigma2."""
-    return spec.pilot_noise_factor * sigma2 if csi == "imperfect" else 0.0
-
-
 def _needs_codebook(schemes) -> bool:
     return any(s.endswith("-imperfect") for s in schemes)
 
 
-def _per_trial(method):
-    """Cache a _TrialState method's result, keyed on its name and arguments,
-    so a key holds exactly what the cached design depends on. A singular
-    effective channel is cached too and raised again on every hit."""
-
-    @functools.wraps(method)
-    def cached(self, *args):
-        key = (method.__name__, *args)
-        if key not in self._cache:
-            try:
-                self._cache[key] = method(self, *args)
-            except SingularEffectiveChannelError as exc:
-                self._cache[key] = exc
-        if isinstance(self._cache[key], SingularEffectiveChannelError):
-            raise self._cache[key]
-        return self._cache[key]
-
-    return cached
+def _swept_indices(scenario: Scenario, cb: PolarCodebook | None) -> list | None:
+    """Each user's swept codeword index; None without a codebook."""
+    return None if cb is None else [beam_sweep(cb, u.vector) for u in scenario.users]
 
 
-class _TrialState:
-    """Per-trial artifacts reusable across the sweep values that keep the array and K."""
-
-    def __init__(self, spec: ExperimentSpec, scenario: Scenario, cb: PolarCodebook | None):
-        self.spec = spec
-        self.scenario = scenario
-        self.cb = cb
-        self.seed = scenario.seed
-        self._cache: dict = {}
-
-    @_per_trial
-    def indices(self):
-        return [beam_sweep(self.cb, u.vector) for u in self.scenario.users]
-
-    @_per_trial
-    def steering(self, csi: str):
-        if csi == "perfect":
-            return analog_beam_steering("perfect", scenario=self.scenario)
-        return analog_beam_steering("imperfect", cb=self.cb, indices=self.indices())
-
-    def aobf(self, csi: str, aux: tuple[int, int]):
-        """Analog-only MM design; aux = (R, S) sizes the imperfect-CSI grid.
-
-        run_experiment designs a chunk's trials as one batch beforehand; a
-        state designed alone is a batch of one.
-        """
-        if ("aobf", csi, aux) not in self._cache:
-            _design_aobf([self], csi, aux)
-        return self._cache[("aobf", csi, aux)]
-
-    @_per_trial
-    def eff(self, csi: str, sigma_e2: float):
-        """Effective channel of one CSI regime with pilot-noise power sigma_e2."""
-        return effective_channel(self.steering(csi), self.scenario, sigma_e2, _est_rng(self.seed))
-
-    @_per_trial
-    def zf(self, csi: str, sigma_e2: float):
-        return hbf_zf(self.steering(csi), self.eff(csi, sigma_e2))
-
-    def wmmse(self, csi: str, sigma_e2: float, sigma2: float):
-        """WMMSE hybrid design of one regime at pilot-noise power sigma_e2 and noise sigma2.
-
-        run_experiment solves a chunk's problems as one batch beforehand; a
-        problem solved alone is a batch of one.
-        """
-        if ("wmmse", csi, sigma_e2, sigma2) not in self._cache:
-            _design_wmmse([self], [(csi, sigma_e2, sigma2)])
-        return self._cache[("wmmse", csi, sigma_e2, sigma2)]
-
-    def beamformer(self, scheme: str, sigma2: float, aux: tuple[int, int]):
-        """Beamformer matrix for metrics; may raise SingularEffectiveChannelError."""
-        kind, csi = scheme.rsplit("-", 1)
-        if kind == "steer":
-            return self.steering(csi)
-        if kind == "aobf":
-            return self.aobf(csi, aux)
-        sigma_e2 = _pilot_noise(self.spec, csi, sigma2)
-        if kind == "hbf-zf":
-            return self.zf(csi, sigma_e2).composite
-        return self.wmmse(csi, sigma_e2, sigma2).composite
-
-    def rate(self, scheme: str, sigma2: float, aux: tuple[int, int]) -> float:
-        try:
-            f = self.beamformer(scheme, sigma2, aux)
-        except SingularEffectiveChannelError:
-            return float("nan")
-        f.validate()
-        return sum_rate(self.scenario, f, self.spec.p, sigma2)
+def _zero_forcing(f_ab, eff):
+    """hbf_zf's composite, or the SingularEffectiveChannelError it raised."""
+    try:
+        return hbf_zf(f_ab, eff).composite
+    except SingularEffectiveChannelError as exc:
+        return exc
 
 
-def _design_aobf(states: list[_TrialState], csi: str, aux: tuple[int, int]) -> None:
-    """Design one regime's analog beams for every state as one MM batch and
-    cache each trial's (N, K) columns on its state. The states share N, K and
-    the codebook, so their row stacks are of equal size."""
-    state = states[0]
+def _mm_columns(spec: ExperimentSpec, chunk: list, cb: PolarCodebook | None, csi: str,
+                aux: tuple[int, int]) -> list:
+    """One regime's analog MM design of every trial as one batch; each trial's (N, K) columns."""
     if csi == "perfect":
-        bf, _ = aobf_perfect_csi([s.scenario for s in states], state.spec.mm)
+        bf, _ = aobf_perfect_csi([scenario for scenario, _ in chunk], spec.mm)
     else:
-        bf, _ = aobf_imperfect_csi(state.cb, [s.indices() for s in states], *aux, state.spec.mm)
-    for s, cols in zip(states, np.split(bf.matrix, len(states), axis=1)):
-        s._cache[("aobf", csi, aux)] = BeamformerMatrix(np.ascontiguousarray(cols), bf.kind)
+        bf, _ = aobf_imperfect_csi(cb, [indices for _, indices in chunk], *aux, spec.mm)
+    return [BeamformerMatrix(np.ascontiguousarray(cols), bf.kind)
+            for cols in np.split(bf.matrix, len(chunk), axis=1)]
 
 
-def _design_wmmse(states: list[_TrialState], problems: list[tuple[str, float, float]]) -> None:
-    """Solve every state's (regime, sigma_e2, sigma2) WMMSE problems not yet
-    cached as one hbf_wmmse batch and cache each problem's HybridBeamformer on
-    its state. The states share N and K, so the problems stack."""
-    todo = [(s, key) for s in states for key in problems if ("wmmse", *key) not in s._cache]
-    if not todo:
-        return
+def _wmmse_composites(trials: int, steering: dict, eff: dict, problems: list, p: float) -> dict:
+    """Every trial's (regime, pilot-noise power, noise power) WMMSE problems as
+    one batch: {problem: each trial's composite}. Only the composites outlive
+    the call, so the batch's analog and digital stacks are freed before the
+    chunk's rates are computed."""
+    todo = [(t, problem) for t in range(trials) for problem in problems]
     hybrid, _ = hbf_wmmse(
-        [s.steering(csi) for s, (csi, _, _) in todo],
-        [s.eff(csi, sigma_e2) for s, (csi, sigma_e2, _) in todo],
-        states[0].spec.p,
+        [steering[csi][t] for t, (csi, _, _) in todo],
+        [eff[csi, sigma_e2][t] for t, (csi, sigma_e2, _) in todo],
+        p,
         [sigma2 for _, (_, _, sigma2) in todo],
     )
-    for (s, key), hb in zip(todo, hybrid.split()):
-        s._cache[("wmmse", *key)] = hb
+    out = {problem: [] for problem in problems}
+    for (_, problem), hb in zip(todo, hybrid.split()):
+        out[problem].append(hb.composite)
+    return out
+
+
+def _design_table(spec: ExperimentSpec, chunk: list, cb: PolarCodebook | None, cells,
+                  pilot_noise_factor: float) -> dict:
+    """Every cell's beamformers for a chunk of trials that share N and K.
+
+    chunk holds each trial's (scenario, swept indices or None), cells the
+    (scheme, noise power, (R, S)) keys. The result maps each cell to one entry
+    per trial: a BeamformerMatrix, or the SingularEffectiveChannelError its ZF
+    design raised. Each design is made once, keyed on what it depends on:
+    steering, the effective channel and ZF per trial, each MM regime and grid
+    as one batch, and every WMMSE problem as one batch.
+    """
+    design_of = {}  # cell -> (kind, regime, what else its design depends on)
+    for scheme, sigma2, aux in cells:
+        kind, csi = scheme.rsplit("-", 1)
+        sigma_e2 = pilot_noise_factor * sigma2 if csi == "imperfect" else 0.0
+        design_of[scheme, sigma2, aux] = {
+            "steer": (kind, csi),
+            "aobf": (kind, csi, aux),
+            "hbf-zf": (kind, csi, sigma_e2),
+            "hbf-wmmse": (kind, csi, sigma_e2, sigma2),
+        }[kind]
+    keys = list(dict.fromkeys(design_of.values()))
+
+    designs = {key: _mm_columns(spec, chunk, cb, *key[1:]) for key in keys if key[0] == "aobf"}
+    steering = {
+        csi: [analog_beam_steering("perfect", scenario=scenario) if csi == "perfect"
+              else analog_beam_steering("imperfect", cb=cb, indices=indices)
+              for scenario, indices in chunk]
+        for csi in dict.fromkeys(key[1] for key in keys if key[0] != "aobf")
+    }
+    designs.update((("steer", csi), columns) for csi, columns in steering.items())
+    eff = {
+        (csi, sigma_e2): [effective_channel(f, scenario, sigma_e2, _est_rng(scenario.seed))
+                          for f, (scenario, _) in zip(steering[csi], chunk)]
+        for csi, sigma_e2 in dict.fromkeys(key[1:3] for key in keys if key[0].startswith("hbf"))
+    }
+    problems = [key[1:] for key in keys if key[0] == "hbf-wmmse"]
+    if problems:
+        for problem, composites in _wmmse_composites(len(chunk), steering, eff, problems,
+                                                     spec.p).items():
+            designs[("hbf-wmmse", *problem)] = composites
+    for key in keys:
+        if key[0] == "hbf-zf":
+            designs[key] = [_zero_forcing(f, e) for f, e in zip(steering[key[1]], eff[key[1:]])]
+    return {cell: designs[key] for cell, key in design_of.items()}
+
+
+def _rate(scenario: Scenario, f, p: float, sigma2: float) -> float:
+    """One cell's sum rate; NaN where its ZF design found the effective channel singular."""
+    if isinstance(f, SingularEffectiveChannelError):
+        return float("nan")
+    f.validate()
+    return sum_rate(scenario, f, p, sigma2)
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
@@ -351,59 +323,49 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             if vs.n_bs not in codebooks:
                 codebooks[vs.n_bs] = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
 
-    # every analog design a trial needs: (array and K, regime, (R, S)); and
-    # per array and K, every WMMSE problem: (regime, pilot-noise power, noise)
-    designs = {}
-    wmmse = collections.defaultdict(dict)
+    # per array and K: the spec of its first sweep value, and every
+    # (scheme, noise power, (R, S)) cell of its sweep values
+    groups: dict = {}
     for _, vs, sigma2 in per_value:
+        _, cells = groups.setdefault((vs.n_bs, vs.k), (vs, {}))
         for scheme in spec.schemes:
-            kind, csi = scheme.rsplit("-", 1)
-            if kind == "aobf":
-                designs[(vs.n_bs, vs.k), csi, (vs.r_count, vs.s_count)] = None
-            elif kind == "hbf-wmmse":
-                wmmse[(vs.n_bs, vs.k)][csi, _pilot_noise(spec, csi, sigma2), sigma2] = None
+            cells[scheme, sigma2, (vs.r_count, vs.s_count)] = None
 
     def draw(seed: int) -> dict:
         # sweep values that keep the array and K share one scenario draw and
         # sweep. Each draw is swept at once, before the next draw, so every
         # beam_sweep call follows its own trial's random_scenario call, which
         # is how benchmark/tracing.py attributes calls to trials.
-        states: dict = {}
-        for _, vs, _ in per_value:
-            key = (vs.n_bs, vs.k)
-            if key not in states:
-                scenario = random_scenario(vs.array_config(), vs.k, spec.l, seed)
-                states[key] = _TrialState(spec, scenario, codebooks.get(vs.n_bs))
-                if states[key].cb is not None:
-                    states[key].indices()
-        return states
+        trial = {}
+        for key, (vs, _) in groups.items():
+            scenario = random_scenario(vs.array_config(), vs.k, spec.l, seed)
+            trial[key] = (scenario, _swept_indices(scenario, codebooks.get(vs.n_bs)))
+        return trial
 
-    per_trial = []
+    rates = {(v, scheme): np.empty(spec.trials) for v, _, _ in per_value for scheme in spec.schemes}
     for first in range(0, spec.trials, TRIAL_CHUNK):
         chunk = [draw(spec.base_seed + t)
                  for t in range(first, min(first + TRIAL_CHUNK, spec.trials))]
-        for key, csi, aux in designs:
-            _design_aobf([states[key] for states in chunk], csi, aux)
-        for key, problems in wmmse.items():
-            _design_wmmse([states[key] for states in chunk], list(problems))
-        for states in chunk:
-            per_trial.append({
-                (v, scheme): states[(vs.n_bs, vs.k)].rate(scheme, sigma2,
-                                                         (vs.r_count, vs.s_count))
-                for v, vs, sigma2 in per_value for scheme in spec.schemes
-            })
+        tables = {key: _design_table(spec, [trial[key] for trial in chunk],
+                                     codebooks.get(vs.n_bs), cells, spec.pilot_noise_factor)
+                  for key, (vs, cells) in groups.items()}
+        for t, trial in enumerate(chunk):
+            for v, vs, sigma2 in per_value:
+                key = (vs.n_bs, vs.k)
+                for scheme in spec.schemes:
+                    f = tables[key][scheme, sigma2, (vs.r_count, vs.s_count)][t]
+                    rates[v, scheme][first + t] = _rate(trial[key][0], f, spec.p, sigma2)
 
     rows: list[ResultRow] = []
     for v, vs, _ in per_value:
         for scheme in spec.schemes:
-            rates = np.array([per_trial[t][(v, scheme)] for t in range(spec.trials)])
-            mean, stderr, n = _aggregate(rates)
+            mean, stderr, n = _aggregate(rates[v, scheme])
             rows.append(ResultRow(v, scheme, "sum_rate", mean, stderr, n))
             if spec.experiment == "ee-vs-snr":
                 # only the hybrid schemes have a baseband stage to power
                 hybrid = scheme.startswith("hbf-")
                 p_tot = total_power(spec.power, vs.p, vs.n_bs, vs.k, baseband=hybrid)
-                ee = rates / p_tot
+                ee = rates[v, scheme] / p_tot
                 mean, stderr, n = _aggregate(ee)
                 rows.append(ResultRow(v, scheme, "energy_efficiency", mean, stderr, n))
     return ResultTable(rows=rows)
@@ -484,9 +446,10 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     k = scenario.k
     sigma2 = noise_from_snr(spec.p, k, spec.snr_db)
     cb = build_codebook(cfg, spec.n_dis, spec.beta) if _needs_codebook(spec.schemes) else None
+    aux = (spec.r_count, spec.s_count)
     # patterns are deterministic readouts, so the effective channel stays noiseless
-    pattern_spec = replace(spec, pilot_noise_factor=0.0, k=k)
-    state = _TrialState(pattern_spec, scenario, cb)
+    table = _design_table(spec, [(scenario, _swept_indices(scenario, cb))], cb,
+                          [(scheme, sigma2, aux) for scheme in spec.schemes], 0.0)
 
     lam = cfg.wavelength
     angles_deg = np.arange(-90.0, 91.0, 1.0)
@@ -497,7 +460,9 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     grids = {}
     gains = {}
     for scheme in spec.schemes:
-        f = state.beamformer(scheme, sigma2, (spec.r_count, spec.s_count))
+        (f,) = table[scheme, sigma2, aux]
+        if isinstance(f, SingularEffectiveChannelError):
+            raise f
         f.validate()
         m = f.matrix
         total = np.zeros((angles_deg.size, radii.size))

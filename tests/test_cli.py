@@ -208,6 +208,21 @@ def test_pattern_prints_gain_table(tmp_path):
     assert len(lines) == 1 + 181 * 30
 
 
+def test_pattern_exits_2_on_a_singular_zero_forcing_channel(tmp_path):
+    # two users at one point give the effective channel two equal columns
+    cfg = _write_config(
+        tmp_path,
+        experiment="beam-pattern",
+        schemes=["hbf-zf-perfect"],
+        n_bs=16,
+        pattern_locations=[[10.0, 50.0], [10.0, 50.0]],
+    )
+    code, out, err = _run(["pattern", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "effective channel condition number > 1e12" in err
+
+
 def test_selftest_passes_and_exits_zero():
     code, out, _ = _run(["selftest", "--seed", "0"])
     assert code == 0

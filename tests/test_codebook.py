@@ -290,24 +290,6 @@ def test_beam_sweep_zero_channel_error():
         beam_sweep(cb, np.zeros(4, dtype=complex))
 
 
-def test_beam_sweep_noisy_scoring():
-    cfg = ArrayConfig(n_bs=16)
-    cb = build_codebook(cfg, n_dis=8)
-    h = np.sqrt(16.0) * cb.codeword(CodewordIndex(5, 3))
-    with pytest.raises(ValueError):
-        beam_sweep(cb, h, noise_sigma2=0.1)
-    a = beam_sweep(cb, h, noise_sigma2=1e-12, rng=np.random.default_rng(0))
-    b = beam_sweep(cb, h, noise_sigma2=1e-12, rng=np.random.default_rng(0))
-    assert a == b == CodewordIndex(5, 3)
-    # heavy noise must be able to flip the decision for some seed
-    flipped = any(
-        beam_sweep(cb, h, noise_sigma2=1e4, rng=np.random.default_rng(s))
-        != CodewordIndex(5, 3)
-        for s in range(20)
-    )
-    assert flipped
-
-
 def test_auxiliary_points_r1_keeps_codebook_angle():
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=10)

@@ -599,3 +599,28 @@ def test_each_trials_sweeps_follow_its_own_draw(monkeypatch):
     for i, scenario in enumerate(draws):
         swept = events[i * (1 + k) + 1 : (i + 1) * (1 + k)]
         assert all(h is u.vector for h, u in zip(swept, scenario.users, strict=True))
+
+
+def test_every_stage_runs_once_per_design_and_cell(monkeypatch):
+    # 3 trials, 3 SNR points, all 8 schemes, pilot noise on: steering once per
+    # trial and regime, the effective channel and ZF once per trial for perfect
+    # CSI and once per trial and SNR for imperfect CSI, one batch per MM regime
+    # and for WMMSE, and one sum_rate per cell
+    names = ("random_scenario", "beam_sweep", "analog_beam_steering", "effective_channel",
+             "hbf_zf", "hbf_wmmse", "aobf_perfect_csi", "aobf_imperfect_csi", "sum_rate")
+    log = _counted(monkeypatch, names)
+    spec = ExperimentSpec(experiment="sumrate-vs-snr", trials=3, sweep=(0.0, 10.0, 20.0),
+                          n_bs=16, k=3, l=2, n_dis=40, base_seed=3, pilot_noise_factor=1.0)
+    run_experiment(spec)
+    counts = {name: sum(1 for called, _ in log if called == name) for name in names}
+    assert counts == {
+        "random_scenario": 3,
+        "beam_sweep": 9,
+        "analog_beam_steering": 6,
+        "effective_channel": 12,
+        "hbf_zf": 12,
+        "hbf_wmmse": 1,
+        "aobf_perfect_csi": 1,
+        "aobf_imperfect_csi": 1,
+        "sum_rate": 72,
+    }
