@@ -20,8 +20,9 @@ from .geometry import ArrayConfig, PolarCoord, steering_matrix
 
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
-# build_codebook fills the codewords in place, in tiles of one angle row and at
-# most this many entries, so each tile's distance temporaries stay small:
+# build_codebook fills the sweep basis in place, in tiles of one angle row and
+# at most this many entries, so each tile's codewords and distance temporaries
+# stay small:
 # memory a worker thread frees stays in its own malloc arena, where the trials
 # after the build cannot reuse it.
 _TILE_ENTRIES = 1 << 15
@@ -47,12 +48,17 @@ class CodewordIndex:
 class PolarCodebook:
     """Immutable angle-by-distance grid of unit-norm near-field codewords.
 
-    The grid sines of bins p and N+1-p are exact negations (see grid_angle),
-    so their radii rows are equal and, the element offsets being
-    antisymmetric, bin N+1-p's codewords are bin p's reversed along the
-    antenna axis, bit for bit. Only bins 1..ceil(N/2) are stored: bin p reads
-    stored[p-1] where p <= ceil(N/2), else stored[N-p] reversed. Every array
-    is read-only.
+    The codebook holds the grid (angles, radii) and the sweep basis; codewords
+    are steering vectors made on demand. The grid sines of bins p and N+1-p
+    are exact negations (see grid_angle), so their radii rows are equal and,
+    the element offsets being antisymmetric, bin N+1-p's codeword is bin p's
+    reversed along the antenna axis, bit for bit. The basis therefore keeps
+    only bins 1..ceil(N/2): for each such bin's codeword v at each ring,
+    sums[n, p-1, q-1] = v[n] + v[N-1-n] for n < ceil(N/2) (the middle
+    antenna of an odd N doubled) and diffs[n, p-1, q-1] = v[n] - v[N-1-n] for
+    n < floor(N/2), N entries a codeword in all. The antenna index comes
+    first, so a sweep reads each antenna's entries of every codeword as one
+    contiguous row. Every array is read-only.
     """
 
     array: ArrayConfig
@@ -60,30 +66,26 @@ class PolarCodebook:
     beta: float
     angles: np.ndarray  # (P,) grid angles, strictly increasing
     radii: np.ndarray  # (P, Q) ring radii, strictly decreasing in q
-    stored: np.ndarray  # (ceil(P/2), Q, N) complex, the codewords of bins 1..ceil(P/2)
+    sums: np.ndarray  # (ceil(N/2), ceil(P/2), Q) complex, v[n] + v[N-1-n] of bins 1..ceil(P/2)
+    diffs: np.ndarray  # (floor(N/2), ceil(P/2), Q) complex, v[n] - v[N-1-n] of the same
 
     def codeword(self, idx: CodewordIndex) -> np.ndarray:
-        """Read-only (N,) view of codeword idx."""
+        """(N,) steering vector of codeword idx, a new array."""
         self._check(idx)
-        p = idx.p - 1
-        if p < len(self.stored):
-            return self.stored[p, idx.q - 1]
-        return self.stored[self.array.n_bs - 1 - p, idx.q - 1, ::-1]
+        return steering_matrix(self.array, self.angles[idx.p - 1], self.radii[idx.p - 1, idx.q - 1])
 
     @property
     def codewords(self) -> np.ndarray:
-        """(P, Q, N) copy of the whole grid, mirrored bins included."""
-        mirrored = self.array.n_bs - len(self.stored)
-        return np.concatenate([self.stored, self.stored[:mirrored][::-1, :, ::-1]])
+        """(P, Q, N) array of the whole grid, made by one steering_matrix call."""
+        return steering_matrix(self.array, self.angles[:, None], self.radii)
 
     def location(self, idx: CodewordIndex) -> PolarCoord:
         self._check(idx)
         return PolarCoord(float(self.angles[idx.p - 1]), float(self.radii[idx.p - 1, idx.q - 1]))
 
     def flat(self) -> np.ndarray:
-        """(P*Q, N) copy of the codewords, row-major in (p, q)."""
-        n = self.array.n_bs
-        return self.codewords.reshape(-1, n)
+        """(P*Q, N) array of the codewords, row-major in (p, q)."""
+        return self.codewords.reshape(-1, self.array.n_bs)
 
     def _check(self, idx: CodewordIndex) -> None:
         if not (1 <= idx.p <= self.array.n_bs and 1 <= idx.q <= self.n_dis):
@@ -162,8 +164,8 @@ def build_codebook(
 ) -> PolarCodebook:
     """Construct the polar codebook for the given array.
 
-    Only bins 1..ceil(N/2) are built and stored; the rest are their mirror
-    images (see PolarCodebook). A codebook whose stored rows are larger than
+    Only bins 1..ceil(N/2) are built, into the sweep basis; the rest are their
+    mirror images (see PolarCodebook). A codebook whose basis is larger than
     the memory available is a ValueError, raised before anything that grows
     with N * n_dis is allocated.
     """
@@ -173,7 +175,7 @@ def build_codebook(
         raise ValueError("beta must be positive")
     n = cfg.n_bs
     angles = grid_angle(n, np.arange(1, n + 1))
-    half = (n + 1) // 2
+    half, pairs = (n + 1) // 2, n // 2
     need = half * n_dis * n * np.dtype(complex).itemsize
     available = _available_memory()
     if available is not None and need > available:
@@ -181,13 +183,18 @@ def build_codebook(
                          f"more than the {available / 1e9:.3g} GB of memory available")
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
-    stored = np.empty((half, n_dis, n), dtype=complex)
+    sums = np.empty((half, half, n_dis), dtype=complex)
+    diffs = np.empty((pairs, half, n_dis), dtype=complex)
     rings = max(1, _TILE_ENTRIES // n)
 
     def fill(tile):
         p, lo = tile
-        steering_matrix(cfg, angles[p], radii[p, lo : lo + rings],
-                        out=stored[p, lo : lo + rings])
+        # antenna-major views of the tile, so that the loops run along the
+        # basis rows they write
+        v = steering_matrix(cfg, angles[p], radii[p, lo : lo + rings]).T
+        rev = v[::-1]
+        np.add(v[:half], rev[:half], out=sums[:, p, lo : lo + rings])
+        np.subtract(v[:pairs], rev[:pairs], out=diffs[:, p, lo : lo + rings])
 
     tiles = [(p, lo) for p in range(half) for lo in range(0, n_dis, rings)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
@@ -195,7 +202,7 @@ def build_codebook(
             pass
     return PolarCodebook(
         array=cfg, n_dis=n_dis, beta=beta, angles=_read_only(angles), radii=_read_only(radii),
-        stored=_read_only(stored),
+        sums=_read_only(sums), diffs=_read_only(diffs),
     )
 
 
@@ -203,18 +210,30 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     """Best codeword index argmax_{p,q} |h^H v_{p,q}|.
 
     Scoring is noiseless (the pilot procedure is abstracted), and ties break
-    to the smallest (p, q). Each stored codeword is scored against h, and
-    against h reversed for the score of its mirror image.
+    to the smallest (p, q). The sweep runs on the half-length basis: with
+    h+[n] = h[n] + h[N-1-n] (the middle antenna of an odd N taken once) and
+    h-[n] = h[n] - h[N-1-n], a stored bin scores 2 h^H v = h+^H s + h-^H d and
+    its mirror 2 h^H rev(v) = h+^H s - h-^H d, N multiply-adds per stored
+    codeword. A broadside-symmetric h has h- = 0, so a mirror pair ties
+    exactly and the smaller p wins.
     """
     h = np.asarray(h)
     if np.linalg.norm(h) == 0:
         raise ValueError("cannot sweep a zero channel")
-    stored = cb.stored.reshape(-1, cb.array.n_bs)
-    direct = (stored @ h.conj()).reshape(-1, cb.n_dis)
-    reverse = (stored @ h[::-1].conj()).reshape(-1, cb.n_dis)
-    mirrored = cb.array.n_bs - len(cb.stored)  # bins ceil(N/2)+1..N read rows N-ceil(N/2)-1..0
-    scores = np.concatenate([direct, reverse[:mirrored][::-1]]).reshape(-1)
-    idx = int(np.argmax(np.abs(scores)))  # first max = lexicographic smallest
+    n = cb.array.n_bs
+    half, pairs = (n + 1) // 2, n // 2
+    hc = h.conj()
+    rev = hc[::-1]
+    plus = hc[:half] + rev[:half]
+    plus[pairs:] = hc[pairs:half]  # the odd middle antenna, which sums holds doubled
+    # the scores' parts even and odd under reversal of the antenna axis
+    even = plus @ cb.sums.reshape(half, -1)
+    odd = (hc[:pairs] - rev[:pairs]) @ cb.diffs.reshape(pairs, -1)
+    direct = np.abs(even + odd).reshape(half, cb.n_dis)
+    mirror = np.abs(even - odd).reshape(half, cb.n_dis)
+    # bins ceil(N/2)+1..N mirror bins N-ceil(N/2)..1
+    scores = np.concatenate([direct, mirror[: n - half][::-1]]).reshape(-1)
+    idx = int(np.argmax(scores))  # first max = lexicographic smallest
     return CodewordIndex(p=idx // cb.n_dis + 1, q=idx % cb.n_dis + 1)
 
 

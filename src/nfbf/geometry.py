@@ -98,13 +98,23 @@ def steering_matrix(cfg: ArrayConfig, angles, radii, out: np.ndarray | None = No
     angles and radii broadcast; entry [..., n-1] of the broadcast shape + (N,)
     result is (1/sqrt(N)) exp(-j 2 pi dist_n / wavelength): unit norm, constant
     entry modulus 1/sqrt(N). Given out, a complex array of that shape, the
-    phase, exp and scaling are written into it and out is returned; the bits
-    are the same as without it.
+    cosine and sine are written into its real and imaginary parts and out is
+    returned; the bits are the same as without it.
+
+    The entry is computed as cos(theta) s + j sin(theta) s with theta =
+    (-2 pi dist_n) (1/wavelength) and s = 1/sqrt(N), which are the bits of the
+    complex formula np.exp(-2j * np.pi * dist / wavelength) / np.sqrt(N): its
+    complex multiply leaves a zero real part, its division by a real scalar
+    multiplies by the reciprocal, and exp of 0 + j theta is (cos, sin).
     """
-    out = np.multiply(-2j * np.pi, element_distances(cfg, angles, radii), out=out)
-    out /= cfg.wavelength
-    np.exp(out, out=out)
-    out /= np.sqrt(cfg.n_bs)
+    theta = element_distances(cfg, angles, radii)
+    theta *= -2.0 * np.pi
+    theta *= 1.0 / cfg.wavelength
+    if out is None:
+        out = np.empty(theta.shape, dtype=complex)
+    scale = 1.0 / np.sqrt(cfg.n_bs)
+    np.multiply(np.cos(theta, out=out.real), scale, out=out.real)
+    np.multiply(np.sin(theta, out=out.imag), scale, out=out.imag)
     return out
 
 

@@ -311,9 +311,15 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     if not sweep:
         raise ValueError("sweep values must be nonempty")
 
-    # one (value, that value's spec, noise power) entry per sweep value
-    per_value = []
+    # one (value, that value's spec, noise power) entry per sweep value; a value
+    # equal to an earlier one after the axis cast (16 and 16.0 on an int axis)
+    # would repeat its rows and every rate
+    per_value, seen = [], set()
     for v in sweep:
+        cast = SWEEP_AXES[spec.experiment].cast(v)
+        if cast in seen:
+            raise ValueError(f"sweep value {v!r} repeats an earlier value")
+        seen.add(cast)
         vs = value_spec(spec, v)
         per_value.append((v, vs, noise_from_snr(vs.p, vs.k, vs.snr_db)))
 

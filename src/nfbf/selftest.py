@@ -107,19 +107,29 @@ def _check_codebook_self_selection(rng) -> str:
 
 
 def _check_codebook_mirror(rng) -> str:
-    # bins ceil(N/2)+1..N are read as their mirror images reversed, which
-    # holds only where this install's sin and arcsin are odd: each must be
-    # bit-equal to its direct steering vector, and the sweep over the stored
-    # rows must pick what a sweep of the whole grid picks
+    # the sweep basis holds bins 1..ceil(N/2) as sums and differences of each
+    # codeword with its reverse, which stands for bins ceil(N/2)+1..N only where
+    # this install's sin and arcsin are odd: the basis must be the sum and
+    # difference of one whole-grid steering call bit for bit, each codeword
+    # that grid's row, and the sweep must pick what a sweep of the grid picks
     for n in (64, 63):
         cfg = ArrayConfig(n_bs=n)
         cb = build_codebook(cfg, n_dis=40, beta=1.6)
-        for p in ((n + 1) // 2 + 1, 40, n):
+        whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
+        half, pairs = (n + 1) // 2, n // 2
+        # antenna-major, as the basis stores them
+        v, rev = np.moveaxis(whole[:half], -1, 0), np.moveaxis(whole[:half, :, ::-1], -1, 0)
+        if not np.array_equal(cb.sums, v[:half] + rev[:half]):
+            return f"basis sums of N = {n} differ from the whole grid's"
+        if not np.array_equal(cb.diffs, v[:pairs] - rev[:pairs]):
+            return f"basis differences of N = {n} differ from the whole grid's"
+        if not np.array_equal(whole[half:], whole[: n - half][::-1, :, ::-1]):
+            return f"bins {half + 1}..{n} of N = {n} are not their mirrors reversed"
+        for p in (1, half, half + 1, 40, n):
             for q in (1, 17, 40):
-                want = steering_matrix(cfg, cb.angles[p - 1], cb.radii[p - 1, q - 1])
-                if not np.array_equal(cb.codeword(CodewordIndex(p, q)), want):
-                    return f"mirrored codeword ({p}, {q}) of N = {n} differs from its steering vector"
-        flat = cb.flat()
+                if not np.array_equal(cb.codeword(CodewordIndex(p, q)), whole[p - 1, q - 1]):
+                    return f"codeword ({p}, {q}) of N = {n} differs from the whole grid's"
+        flat = whole.reshape(-1, n)
         for seed in range(3):
             for u in random_scenario(cfg, 4, 3, seed=seed).users:
                 best = int(np.argmax(np.abs(flat @ u.vector.conj())))

@@ -129,6 +129,15 @@ def test_non_integral_sweep_value_on_an_int_axis_exits_2(tmp_path, experiment):
     assert out == ""
 
 
+def test_a_repeated_sweep_value_exits_2(tmp_path):
+    cfg = _write_config(tmp_path)
+    code, out, err = _run(["run", "--config", cfg, "--snr-db", "0,0"])
+    assert code == 2 and "error:" in err and "repeats an earlier value" in err
+    assert out == ""
+    code, out, err = _run(["run", "--snr-db", "0,0", "--trials", "1"])
+    assert code == 2 and "repeats an earlier value" in err
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -27,6 +27,16 @@ from nfbf.geometry import (
     steering_matrix,
 )
 
+def whole_grid_basis(whole):
+    """The antenna-major sweep basis of bins 1..ceil(N/2) from a whole-grid
+    (P, Q, N) array."""
+    n = whole.shape[-1]
+    half, pairs = (n + 1) // 2, n // 2
+    v = np.moveaxis(whole[:half], -1, 0)
+    rev = v[::-1]
+    return v[:half] + rev[:half], v[:pairs] - rev[:pairs]
+
+
 def test_grid_angle_first_bin_n4():
     # arcsin((2*1 - 1 - 4) / 4) = arcsin(-0.75)
     assert float(grid_angle(4, 1)) == pytest.approx(-0.848062078981481, rel=1e-15)
@@ -113,15 +123,17 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
     monkeypatch.setattr(nfbf.codebook, "_WORKERS", workers)
     monkeypatch.setattr(nfbf.codebook, "_TILE_ENTRIES", tile_entries)
     monkeypatch.setattr(nfbf.codebook, "steering_matrix",
-                        lambda *args, **kwargs: shapes.append(kwargs["out"].shape)
-                        or real(*args, **kwargs))
+                        lambda cfg, angles, radii: shapes.append(np.shape(radii))
+                        or real(cfg, angles, radii))
     cb = build_codebook(cfg)
     assert len(shapes) == grid_tiles // n * ((n + 1) // 2)
-    # the tiles' rings add up to the stored rows, whatever np.empty left in the rest
-    assert sum(rings for rings, _ in shapes) == (n + 1) // 2 * 320
-    whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
-    assert cb.codewords.shape == whole.shape == (n, 320, n)
-    assert np.array_equal(cb.codewords, whole)
+    # the tiles' rings add up to the stored bins' rows, whatever np.empty left in the rest
+    assert sum(rings for (rings,) in shapes) == (n + 1) // 2 * 320
+    whole = real(cfg, cb.angles[:, None], cb.radii)
+    sums, diffs = whole_grid_basis(whole)
+    assert cb.sums.shape == sums.shape == (n // 2, n // 2, 320)
+    assert np.array_equal(cb.sums, sums)
+    assert np.array_equal(cb.diffs, diffs)
 
 
 @pytest.mark.parametrize("wavelength", [1.0, 0.01])
@@ -129,8 +141,13 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
 def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
     cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
     cb = build_codebook(cfg)
-    assert cb.stored.shape == ((n + 1) // 2, 320, n)
+    half = (n + 1) // 2
+    assert cb.sums.shape == (half, half, 320)
+    assert cb.diffs.shape == (n // 2, half, 320)
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
+    sums, diffs = whole_grid_basis(whole)
+    assert np.array_equal(cb.sums, sums)
+    assert np.array_equal(cb.diffs, diffs)
     assert np.array_equal(cb.codewords, whole)
     assert np.array_equal(cb.flat(), whole.reshape(-1, n))
     for p in range(n):
@@ -138,31 +155,39 @@ def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
 
 
 def test_every_small_grid_equals_one_whole_grid_steering_call():
-    # bins ceil(N/2)+1..N are read as reversed stored rows at every N, odd and
-    # even, powers of two or not
+    # the basis holds bins 1..ceil(N/2) at every N, odd and even, powers of two
+    # or not, and bins ceil(N/2)+1..N are their reversed mirrors bit for bit
     for n in range(2, 131):
         cfg = ArrayConfig(n_bs=n)
         cb = build_codebook(cfg, n_dis=3)
-        assert len(cb.stored) == (n + 1) // 2
+        half = (n + 1) // 2
+        assert cb.sums.shape == (half, half, 3) and cb.diffs.shape == (n // 2, half, 3)
         whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
-        assert np.array_equal(cb.codewords, whole), n
+        sums, diffs = whole_grid_basis(whole)
+        assert np.array_equal(cb.sums, sums), n
+        assert np.array_equal(cb.diffs, diffs), n
+        assert np.array_equal(whole[half:], whole[: n - half][::-1, :, ::-1]), n
 
 
 def test_codebook_is_read_only():
     cb = build_codebook(ArrayConfig(n_bs=16), n_dis=4)
-    # bin 12 mirrors bin 5: a write into either view would change both
-    for p in (5, 12):
-        with pytest.raises(ValueError, match="read-only"):
-            cb.codeword(CodewordIndex(p, 2))[0] = 0.0
-    for field in ("angles", "radii", "stored"):
+    for field in ("angles", "radii", "sums", "diffs"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(cb, field)[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cb.n_dis = 5
-    # the materialized grid is a copy the caller may write
+    # codewords are made on demand: a write into one, or into the materialized
+    # grid, reaches neither the codebook nor the next codeword of any bin, bin 12
+    # the mirror of bin 5 included
+    for p in (5, 12):
+        word = cb.codeword(CodewordIndex(p, 2))
+        word[:] = 0.0
+        assert np.all(np.abs(cb.codeword(CodewordIndex(p, 2))) > 0)
     grid = cb.codewords
     grid[:] = 0.0
     assert np.all(np.abs(cb.codewords) > 0)
+    h = nearfield_steering(cb.array, cb.location(CodewordIndex(12, 2)))
+    assert beam_sweep(cb, h) == CodewordIndex(12, 2)
 
 
 def test_build_leaves_no_worker_thread_running(monkeypatch):
@@ -212,7 +237,8 @@ def test_available_memory_is_the_smaller_readable_limit(tmp_path, monkeypatch):
     # a codebook whose 8 stored bins are over the limit fails; one within it builds
     with pytest.raises(ValueError, match="GB of memory available"):
         build_codebook(ArrayConfig(n_bs=16), n_dis=489)
-    assert build_codebook(ArrayConfig(n_bs=16), n_dis=488).stored.nbytes <= 1000000
+    cb = build_codebook(ArrayConfig(n_bs=16), n_dis=488)
+    assert cb.sums.nbytes + cb.diffs.nbytes == 8 * 488 * 16 * 16 <= 1000000
     monkeypatch.setattr(nfbf.codebook, "_MEMINFO", str(v1))
     monkeypatch.setattr(nfbf.codebook, "_CGROUP_LIMITS", (str(v1),))
     assert nfbf.codebook._available_memory() is None

@@ -169,6 +169,40 @@ def test_steering_matrix_out_is_filled_in_place_with_the_same_bits(wavelength):
         assert np.array_equal(out, want)
 
 
+def complex_exp_steering(cfg, angles, radii):
+    """The complex-exp formula steering_matrix's cos/sin kernel replaced, kept as
+    its bit oracle: complex multiply, division by the wavelength, complex exp and
+    division by sqrt(N)."""
+    out = np.multiply(-2j * np.pi, element_distances(cfg, angles, radii))
+    out /= cfg.wavelength
+    np.exp(out, out=out)
+    out /= np.sqrt(cfg.n_bs)
+    return out
+
+
+@pytest.mark.parametrize("spacing", [None, 0.7])  # half a wavelength, or 0.7 wavelengths
+@pytest.mark.parametrize("wavelength", [1.0, 0.01, 0.0107])
+@pytest.mark.parametrize("n", [2, 3, 16, 63, 64, 100, 256])
+def test_steering_kernel_matches_the_complex_exp_formula_bit_for_bit(n, wavelength, spacing):
+    cfg = ArrayConfig(n_bs=n, wavelength=wavelength,
+                      spacing=None if spacing is None else spacing * wavelength)
+    rng = np.random.default_rng(n)
+    radii = rng.uniform(1.0, 2.0 * n * n, (6, 40)) * wavelength
+    cases = [  # scalar point, (P, 1) x (P, Q) as in a codebook, () x (Q,) as in a
+        # codebook tile, (A, 1) x (1, R) as in a beam pattern
+        (0.3, 7.0 * wavelength),
+        (rng.uniform(-1.5, 1.5, (6, 1)), radii),
+        (np.float64(-0.6), radii[1]),
+        (rng.uniform(-1.5, 1.5, (5, 1)), radii[2, None, :7]),
+    ]
+    for a, r in cases:
+        want = complex_exp_steering(cfg, a, r)
+        assert np.array_equal(steering_matrix(cfg, a, r).view(float), want.view(float))
+        out = np.full(want.shape, np.nan, dtype=complex)
+        assert steering_matrix(cfg, a, r, out=out) is out
+        assert np.array_equal(out.view(float), want.view(float))
+
+
 def test_element_distance_index_bounds():
     cfg = ArrayConfig(n_bs=4)
     p = PolarCoord(0.0, 5.0)

@@ -4,6 +4,14 @@ Run-against-run comparisons cannot see a change that moves every run alike;
 these files can. A change that moves the numbers on purpose re-freezes them
 with `PYTHONPATH=src python tests/test_golden.py` and lists every changed row
 or line.
+
+The frozen bits depend on numpy's SIMD dispatch, not only on its version:
+float64 arcsin, exp, log2 and angle take other code paths, with other last
+bits, when AVX-512 dispatch is off (complex abs and multiply too when AVX2 is
+off). The codebook's grid angles come from arcsin, so on a machine or a
+NPY_DISABLE_CPU_FEATURES setting without AVX-512 most of these files differ.
+Each assertion message names numpy's version and its X86_V4 flag for that
+reason. sin, cos and complex exp do not move with the dispatch.
 """
 
 import csv
@@ -12,13 +20,17 @@ import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from nfbf.codebook import build_codebook
 from nfbf.geometry import ArrayConfig
 from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# printed with every golden mismatch: the bits depend on both (module docstring)
+DISPATCH = f"numpy {np.__version__}, X86_V4 dispatch {__cpu_features__.get('X86_V4')}"
 _SMALL = dict(n_bs=16, k=3, l=2, n_dis=40, trials=2, base_seed=3)
 GOLDEN_SPECS = {
     "sumrate_vs_snr.csv": ExperimentSpec(
@@ -75,15 +87,15 @@ def codebook_digest(arrays):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_golden_csv_is_byte_identical(name):
     want = (GOLDEN_DIR / name).read_text()
-    assert run_experiment(GOLDEN_SPECS[name]).to_csv() == want
+    assert run_experiment(GOLDEN_SPECS[name]).to_csv() == want, DISPATCH
 
 
 def test_golden_beam_pattern_is_identical():
-    assert pattern_digest(PATTERN_SPEC) == (GOLDEN_DIR / PATTERN_GOLDEN).read_text()
+    assert pattern_digest(PATTERN_SPEC) == (GOLDEN_DIR / PATTERN_GOLDEN).read_text(), DISPATCH
 
 
 def test_golden_codebook_is_bit_identical():
-    assert codebook_digest(CODEBOOK_ARRAYS) == (GOLDEN_DIR / CODEBOOK_GOLDEN).read_text()
+    assert codebook_digest(CODEBOOK_ARRAYS) == (GOLDEN_DIR / CODEBOOK_GOLDEN).read_text(), DISPATCH
 
 
 def _keyed_rows(text):

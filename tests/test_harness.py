@@ -261,6 +261,23 @@ def test_int_axis_rejects_a_non_integral_sweep_value(experiment, fields):
         assert all(type(getattr(vs, name)) is int and getattr(vs, name) == 20 for name in fields)
 
 
+@pytest.mark.parametrize(
+    "experiment, schemes, sweep",
+    [
+        ("sumrate-vs-snr", ("steer-perfect",), (0.0, 0.0)),
+        ("ee-vs-snr", ("steer-perfect",), (0, 10.0, 0.0)),
+        ("sumrate-vs-nbs", ("steer-perfect",), (8, 16, 16.0)),
+        ("sumrate-vs-k", ("steer-perfect",), (1, 1)),
+        ("aux-sweep", ("aobf-imperfect",), (1, 2, 1.0)),
+    ],
+)
+def test_a_repeated_sweep_value_is_rejected(experiment, schemes, sweep):
+    # values compare after the axis cast, so 16 and 16.0 on an int axis repeat
+    spec = _tiny_spec(experiment=experiment, schemes=schemes, sweep=sweep)
+    with pytest.raises(ValueError, match="repeats an earlier value"):
+        run_experiment(spec)
+
+
 def test_aux_sweep_restricted_to_aobf_imperfect():
     with pytest.raises(ValueError):
         run_experiment(
