@@ -49,16 +49,18 @@ class PolarCodebook:
     """Immutable angle-by-distance grid of unit-norm near-field codewords.
 
     The codebook holds the grid (angles, radii) and the sweep basis; codewords
-    are steering vectors made on demand. The grid sines of bins p and N+1-p
-    are exact negations (see grid_angle), so their radii rows are equal and,
-    the element offsets being antisymmetric, bin N+1-p's codeword is bin p's
-    reversed along the antenna axis, bit for bit. The basis therefore keeps
-    only bins 1..ceil(N/2): for each such bin's codeword v at each ring,
-    sums[n, p-1, q-1] = v[n] + v[N-1-n] for n < ceil(N/2) (the middle
-    antenna of an odd N doubled) and diffs[n, p-1, q-1] = v[n] - v[N-1-n] for
-    n < floor(N/2), N entries a codeword in all. The antenna index comes
-    first, so a sweep reads each antenna's entries of every codeword as one
-    contiguous row. Every array is read-only.
+    are steering vectors made on demand, in complex128. The grid sines of
+    bins p and N+1-p are exact negations (see grid_angle), so their radii rows
+    are equal and, the element offsets being antisymmetric, bin N+1-p's
+    codeword is bin p's reversed along the antenna axis, bit for bit. The
+    basis therefore keeps only bins 1..ceil(N/2): for each such bin's codeword
+    v at each ring, sums[n, p-1, q-1] = v[n] + v[N-1-n] for n < ceil(N/2) (the
+    middle antenna of an odd N doubled) and diffs[n, p-1, q-1] = v[n] -
+    v[N-1-n] for n < floor(N/2), N entries a codeword in all. Each entry is
+    that complex128 sum or difference rounded once to complex64, 8 bytes: the
+    basis only screens codewords, and beam_sweep rescores the few it keeps in
+    float64. The antenna index comes first, so a sweep reads each antenna's
+    entries of every codeword as one contiguous row. Every array is read-only.
     """
 
     array: ArrayConfig
@@ -66,13 +68,22 @@ class PolarCodebook:
     beta: float
     angles: np.ndarray  # (P,) grid angles, strictly increasing
     radii: np.ndarray  # (P, Q) ring radii, strictly decreasing in q
-    sums: np.ndarray  # (ceil(N/2), ceil(P/2), Q) complex, v[n] + v[N-1-n] of bins 1..ceil(P/2)
-    diffs: np.ndarray  # (floor(N/2), ceil(P/2), Q) complex, v[n] - v[N-1-n] of the same
+    sums: np.ndarray  # (ceil(N/2), ceil(P/2), Q) complex64, v[n] + v[N-1-n] of bins 1..ceil(P/2)
+    diffs: np.ndarray  # (floor(N/2), ceil(P/2), Q) complex64, v[n] - v[N-1-n] of the same
 
     def codeword(self, idx: CodewordIndex) -> np.ndarray:
         """(N,) steering vector of codeword idx, a new array."""
         self._check(idx)
         return steering_matrix(self.array, self.angles[idx.p - 1], self.radii[idx.p - 1, idx.q - 1])
+
+    def codewords_at(self, indices) -> np.ndarray:
+        """(len(indices), N) array whose row i is codeword(indices[i]) bit for
+        bit, made by one steering_matrix call."""
+        for idx in indices:
+            self._check(idx)
+        p = np.array([idx.p - 1 for idx in indices], dtype=int)
+        q = np.array([idx.q - 1 for idx in indices], dtype=int)
+        return steering_matrix(self.array, self.angles[p], self.radii[p, q])
 
     @property
     def codewords(self) -> np.ndarray:
@@ -165,9 +176,11 @@ def build_codebook(
     """Construct the polar codebook for the given array.
 
     Only bins 1..ceil(N/2) are built, into the sweep basis; the rest are their
-    mirror images (see PolarCodebook). A codebook whose basis is larger than
-    the memory available is a ValueError, raised before anything that grows
-    with N * n_dis is allocated.
+    mirror images (see PolarCodebook). Each tile's sums and differences are
+    computed in complex128 and rounded once as they are stored in complex64.
+    A codebook whose basis is larger than the memory available is a
+    ValueError, raised before anything that grows with N * n_dis is
+    allocated.
     """
     if n_dis < 1:
         raise ValueError("n_dis must be >= 1")
@@ -176,15 +189,15 @@ def build_codebook(
     n = cfg.n_bs
     angles = grid_angle(n, np.arange(1, n + 1))
     half, pairs = (n + 1) // 2, n // 2
-    need = half * n_dis * n * np.dtype(complex).itemsize
+    need = half * n_dis * n * np.dtype(np.complex64).itemsize
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(f"the codebook of N = {n} with {n_dis} rings needs {need / 1e9:.3g} GB, "
                          f"more than the {available / 1e9:.3g} GB of memory available")
     q = np.arange(1, n_dis + 1, dtype=float)
     radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
-    sums = np.empty((half, half, n_dis), dtype=complex)
-    diffs = np.empty((pairs, half, n_dis), dtype=complex)
+    sums = np.empty((half, half, n_dis), dtype=np.complex64)
+    diffs = np.empty((pairs, half, n_dis), dtype=np.complex64)
     rings = max(1, _TILE_ENTRIES // n)
 
     def fill(tile):
@@ -206,6 +219,45 @@ def build_codebook(
     )
 
 
+def _halves(h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """h+* and h-* of beam_sweep, on the half-length index, in complex128."""
+    half, pairs = (n + 1) // 2, n // 2
+    hc = np.asarray(h, dtype=complex).conj()
+    rev = hc[::-1]
+    plus = hc[:half] + rev[:half]
+    plus[pairs:] = hc[pairs:half]  # the odd middle antenna, which sums holds doubled
+    return plus, hc[:pairs] - rev[:pairs]
+
+
+def _ldexp(z: np.ndarray, exp: int) -> np.ndarray:
+    """z in complex128 times 2**exp, exact where no part overflows or underflows."""
+    return np.ldexp(np.ascontiguousarray(z, dtype=complex).view(float), exp).view(complex)
+
+
+def _screen(cb: PolarCodebook, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, float]:
+    """(P*Q,) float32-product scores of every codeword in (p, q) order, and
+    their error bound E (see beam_sweep)."""
+    n = cb.array.n_bs
+    half, pairs = (n + 1) // 2, n // 2
+    # a power of two scales every score exactly and keeps the float32 products
+    # far from overflow and underflow
+    size = np.abs(plus), np.abs(minus)
+    exp = int(np.frexp(max(size[0].max(), size[1].max()))[1])
+    # the scores' parts even and odd under reversal of the antenna axis, joined
+    # in float64
+    even = _ldexp(_ldexp(plus, -exp).astype(np.complex64) @ cb.sums.reshape(half, -1), exp)
+    odd = _ldexp(_ldexp(minus, -exp).astype(np.complex64) @ cb.diffs.reshape(pairs, -1), exp)
+    direct = np.abs(even + odd).reshape(half, cb.n_dis)
+    mirror = np.abs(even - odd).reshape(half, cb.n_dis)
+    # bins ceil(N/2)+1..N mirror bins N-ceil(N/2)..1
+    scores = np.concatenate([direct, mirror[: n - half][::-1]]).reshape(-1)
+    k = 2 * half
+    gamma = [k * u / (1.0 - k * u) for u in (2.0**-24, 2.0**-53)]
+    bound = (1.01 * (np.sqrt(2.0) * sum(gamma) + 2.0**-23) * 2.0 / np.sqrt(n)
+             * (size[0].sum() + size[1].sum()))
+    return scores, float(bound)
+
+
 def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     """Best codeword index argmax_{p,q} |h^H v_{p,q}|.
 
@@ -214,26 +266,77 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     h+[n] = h[n] + h[N-1-n] (the middle antenna of an odd N taken once) and
     h-[n] = h[n] - h[N-1-n], a stored bin scores 2 h^H v = h+^H s + h-^H d and
     its mirror 2 h^H rev(v) = h+^H s - h-^H d, N multiply-adds per stored
-    codeword. A broadside-symmetric h has h- = 0, so a mirror pair ties
-    exactly and the smaller p wins.
+    codeword.
+
+    Screen. Every codeword is scored with two complex64 vector-matrix
+    products, h+* and h-* rounded to complex64 against the complex64 basis,
+    the parts joined and their modulus taken in float64. Its gap to sigma64,
+    any float64 evaluation of the same products on the unrounded basis (a
+    full-basis matrix product, or the rescore below), is at most
+
+        E = 1.01 (sqrt(2) (gamma32_k + gamma64_k) + 2 u32) (2 / sqrt(N)) (||h+||_1 + ||h-||_1),
+
+    with m = ceil(N/2), k = 2m, u32 = 2^-24, u64 = 2^-53 and gamma_k =
+    k u / (1 - k u). Take sigma, the exact score of the float64 halves
+    h+, h- and float64 basis s, d, for which |s|, |d| <= 2/sqrt(N). Then:
+    - each product's real part is a sum of 2m rounded real products and its
+      imaginary part another; in any order, with or without fused
+      multiply-adds, at any BLAS thread count or SIMD dispatch, each part is
+      off by at most gamma_k times the sum of its terms' moduli, at most
+      sum |h+*||s|; hence sqrt(2) gamma_k (2/sqrt(N)) ||h+||_1 per product.
+      That is Higham's complex inner-product bound sqrt(2) gamma_{m+2}
+      (Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.6)
+      with k = 2m in place of m + 2, which covers a kernel that accumulates
+      the real products apart, and holds for m >= 1;
+    - rounding h+ and s to complex64 moves each term h+* s by at most
+      (2 u32 + u32^2) |h+||s|, hence 2 u32 (2/sqrt(N)) ||h+||_1 to first
+      order; likewise for h- and d;
+    - sigma64 is itself off sigma by at most sqrt(2) gamma64_k times the same
+      sums, the float64 products' own rounding.
+    The factor 1.01 covers every second-order term: the u32^2 and
+    gamma32 u32 terms, |s| and |d| exceeding 2/sqrt(N) by a few u64, the
+    float64 sum, difference and modulus of the joined parts (a few u64 of
+    the sums), the rounding of E itself and of the threshold below, together
+    under 2e-7 of E. The products run on h+ and h- scaled by a power of two
+    to a largest modulus in [1/2, 1), which scales every score exactly and
+    keeps float32 clear of overflow; an entry underflowing float32 adds at
+    most about 2m 2^-149 to a scaled product, also inside the 1.01.
+
+    Rescore. A codeword is a candidate when its screened score is at least
+    max - 2E. The candidates, nearly always one to a few, are rescored in
+    float64 in the sum/difference form h+^H s +- h-^H d: their stored bins'
+    codewords come from one steering_matrix call, and each row is multiplied
+    and summed apart, so a codeword's rescore does not depend on which
+    others are candidates. The sweep returns the first maximum in (p, q)
+    order. With sigma64 the rescore of every codeword, its first maximum j*
+    is a candidate: score32(j*) >= sigma64(j*) - E >= sigma64(j) - E >=
+    score32(j) - 2E for every j. The sweep therefore returns the first
+    maximum of the float64 rescore over the whole grid, and the argmax of a
+    full-basis float64 product, a candidate too, differs from it only where
+    two codewords score within that product's rounding. A
+    broadside-symmetric h has h- = 0, so a mirror pair ties exactly and the
+    smaller p wins.
     """
     h = np.asarray(h)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("cannot sweep a non-finite channel")
     if np.linalg.norm(h) == 0:
         raise ValueError("cannot sweep a zero channel")
     n = cb.array.n_bs
     half, pairs = (n + 1) // 2, n // 2
-    hc = h.conj()
-    rev = hc[::-1]
-    plus = hc[:half] + rev[:half]
-    plus[pairs:] = hc[pairs:half]  # the odd middle antenna, which sums holds doubled
-    # the scores' parts even and odd under reversal of the antenna axis
-    even = plus @ cb.sums.reshape(half, -1)
-    odd = (hc[:pairs] - rev[:pairs]) @ cb.diffs.reshape(pairs, -1)
-    direct = np.abs(even + odd).reshape(half, cb.n_dis)
-    mirror = np.abs(even - odd).reshape(half, cb.n_dis)
-    # bins ceil(N/2)+1..N mirror bins N-ceil(N/2)..1
-    scores = np.concatenate([direct, mirror[: n - half][::-1]]).reshape(-1)
-    idx = int(np.argmax(scores))  # first max = lexicographic smallest
+    plus, minus = _halves(h, n)
+    scores, bound = _screen(cb, plus, minus)
+    found = np.flatnonzero(scores >= scores.max() - 2.0 * bound)  # in (p, q) order
+    p, q = np.divmod(found, cb.n_dis)
+    stored = np.minimum(p, n - 1 - p)
+    v = steering_matrix(cb.array, cb.angles[stored], cb.radii[stored, q])
+    rev = v[:, ::-1]
+    # each row is multiplied and summed apart, so the rows of a mirror pair,
+    # one stored bin's, score alike bit for bit
+    even = ((v[:, :half] + rev[:, :half]) * plus).sum(axis=1)
+    odd = ((v[:, :pairs] - rev[:, :pairs]) * minus).sum(axis=1)
+    rescored = np.abs(np.where(p < half, even + odd, even - odd))
+    idx = int(found[np.argmax(rescored)])  # first max = lexicographic smallest
     return CodewordIndex(p=idx // cb.n_dis + 1, q=idx % cb.n_dis + 1)
 
 

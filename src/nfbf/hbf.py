@@ -105,7 +105,7 @@ def analog_beam_steering(
     elif mode == "imperfect":
         if cb is None or indices is None:
             raise ValueError("imperfect mode needs a codebook and indices")
-        cols = np.stack([cb.codeword(idx) for idx in indices], axis=1)
+        cols = np.ascontiguousarray(cb.codewords_at(indices).T)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return BeamformerMatrix(matrix=cols, kind=ANALOG_ONLY)

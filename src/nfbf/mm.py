@@ -366,5 +366,6 @@ def aobf_imperfect_csi(
     ]
     stacks = approximate_channel_matrices(cb, grids)
     rows = np.stack(stacks).reshape(len(trials), k_users, r_count * s_count, -1)
-    starts = np.array([[cb.codeword(idx) for idx in trial] for trial in trials]).mT
+    starts = cb.codewords_at([idx for trial in trials for idx in trial])
+    starts = starts.reshape(len(trials), k_users, cb.array.n_bs).mT
     return _design(rows, starts, cfg or MMConfig(), _IMPERFECT_MU)

@@ -26,10 +26,11 @@ from nfbf.geometry import (
     rayleigh_distance,
     steering_matrix,
 )
+from nfbf.hbf import analog_beam_steering
 
 def whole_grid_basis(whole):
     """The antenna-major sweep basis of bins 1..ceil(N/2) from a whole-grid
-    (P, Q, N) array."""
+    (P, Q, N) array, in the grid's complex128."""
     n = whole.shape[-1]
     half, pairs = (n + 1) // 2, n // 2
     v = np.moveaxis(whole[:half], -1, 0)
@@ -105,6 +106,28 @@ def test_codewords_are_steering_vectors():
     assert np.allclose(np.abs(cb.codewords), 1.0 / 4.0, rtol=0, atol=1e-12)
 
 
+def test_codewords_at_equals_per_index_codewords():
+    # one steering_matrix call over a batch of indices makes each row with the
+    # bits of the per-index call; the imperfect steering matrix is that batch
+    rng = np.random.default_rng(7)
+    for n in (16, 33, 64, 100, 256):
+        cb = build_codebook(ArrayConfig(n_bs=n), n_dis=40)
+        for _ in range(28):
+            batch = [CodewordIndex(int(p), int(q)) for p, q in zip(
+                rng.integers(1, n + 1, size=rng.integers(1, 13)), rng.integers(1, 41, size=12))]
+            rows = cb.codewords_at(batch)
+            assert rows.shape == (len(batch), n)
+            for row, idx in zip(rows, batch):
+                assert np.array_equal(row, cb.codeword(idx)), (n, idx)
+            cols = analog_beam_steering("imperfect", cb=cb, indices=batch).matrix
+            assert np.array_equal(cols, np.stack([cb.codeword(idx) for idx in batch], axis=1))
+            assert cols.flags.c_contiguous
+    assert cb.codewords_at([]).shape == (0, 256)
+    for bad in (CodewordIndex(0, 1), CodewordIndex(257, 1), CodewordIndex(1, 41)):
+        with pytest.raises(ValueError):
+            cb.codewords_at([CodewordIndex(1, 1), bad])
+
+
 @pytest.mark.parametrize("wavelength", [1.0, 0.01])
 @pytest.mark.parametrize("n, tile_entries, grid_tiles", [
     # the default 2^15-entry tiles hold a whole row of 320 rings up to N = 102
@@ -130,7 +153,7 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
     # the tiles' rings add up to the stored bins' rows, whatever np.empty left in the rest
     assert sum(rings for (rings,) in shapes) == (n + 1) // 2 * 320
     whole = real(cfg, cb.angles[:, None], cb.radii)
-    sums, diffs = whole_grid_basis(whole)
+    sums, diffs = (b.astype(np.complex64) for b in whole_grid_basis(whole))
     assert cb.sums.shape == sums.shape == (n // 2, n // 2, 320)
     assert np.array_equal(cb.sums, sums)
     assert np.array_equal(cb.diffs, diffs)
@@ -145,7 +168,7 @@ def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
     assert cb.sums.shape == (half, half, 320)
     assert cb.diffs.shape == (n // 2, half, 320)
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
-    sums, diffs = whole_grid_basis(whole)
+    sums, diffs = (b.astype(np.complex64) for b in whole_grid_basis(whole))
     assert np.array_equal(cb.sums, sums)
     assert np.array_equal(cb.diffs, diffs)
     assert np.array_equal(cb.codewords, whole)
@@ -163,7 +186,7 @@ def test_every_small_grid_equals_one_whole_grid_steering_call():
         half = (n + 1) // 2
         assert cb.sums.shape == (half, half, 3) and cb.diffs.shape == (n // 2, half, 3)
         whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
-        sums, diffs = whole_grid_basis(whole)
+        sums, diffs = (b.astype(np.complex64) for b in whole_grid_basis(whole))
         assert np.array_equal(cb.sums, sums), n
         assert np.array_equal(cb.diffs, diffs), n
         assert np.array_equal(whole[half:], whole[: n - half][::-1, :, ::-1]), n
@@ -217,10 +240,10 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
 
 
 def test_oversized_codebook_fails_before_allocating():
-    # N = 200 000 with 320 rings stores 100 000 bins, about 1.0e14 bytes
+    # N = 200 000 with 320 rings stores 100 000 bins at 8 bytes an entry, 5.12e13 bytes
     if nfbf.codebook._available_memory() is None:
         pytest.skip("no readable memory figure on this platform")
-    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 1.02e\+05 GB"):
+    with pytest.raises(ValueError, match=r"N = 200000 with 320 rings needs 5.12e\+04 GB"):
         build_codebook(ArrayConfig(n_bs=200_000))
 
 
@@ -236,9 +259,9 @@ def test_available_memory_is_the_smaller_readable_limit(tmp_path, monkeypatch):
     assert nfbf.codebook._available_memory() == 1000000
     # a codebook whose 8 stored bins are over the limit fails; one within it builds
     with pytest.raises(ValueError, match="GB of memory available"):
-        build_codebook(ArrayConfig(n_bs=16), n_dis=489)
-    cb = build_codebook(ArrayConfig(n_bs=16), n_dis=488)
-    assert cb.sums.nbytes + cb.diffs.nbytes == 8 * 488 * 16 * 16 <= 1000000
+        build_codebook(ArrayConfig(n_bs=16), n_dis=977)
+    cb = build_codebook(ArrayConfig(n_bs=16), n_dis=976)
+    assert cb.sums.nbytes + cb.diffs.nbytes == 8 * 976 * 16 * 8 <= 1000000
     monkeypatch.setattr(nfbf.codebook, "_MEMINFO", str(v1))
     monkeypatch.setattr(nfbf.codebook, "_CGROUP_LIMITS", (str(v1),))
     assert nfbf.codebook._available_memory() is None
@@ -284,18 +307,22 @@ def test_beam_sweep_exhaustive_oracle():
 
 def test_beam_sweep_tie_breaks_to_first():
     # a broadside-symmetric channel scores bins p and N+1-p exactly alike; the
-    # smaller p must win
-    for n in (4, 16, 64):
+    # smaller p must win, at odd N as at even
+    for n in (4, 16, 33, 63, 64, 100):
         cfg = ArrayConfig(n_bs=n)
         cb = build_codebook(cfg, n_dis=8)
-        h = nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[n // 2, 2])))
-        assert np.array_equal(h, h[::-1])
-        # the full grid's product sums each pair in a different order, so its
-        # pair ties only to rounding
-        scores = np.abs(cb.codewords @ h.conj())
-        p, q = np.unravel_index(np.argmax(scores), scores.shape)
-        assert scores[n - 1 - p, q] == pytest.approx(scores[p, q], rel=1e-12)
-        assert beam_sweep(cb, h) == CodewordIndex(p=min(p, n - 1 - p) + 1, q=q + 1)
+        broadside = nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[n // 2, 2])))
+        # a codeword plus its mirror, whose best pair is not the odd middle bin
+        pair = cb.codeword(CodewordIndex(2, 5)) + cb.codeword(CodewordIndex(n - 1, 5))
+        for h in (broadside, pair):
+            assert np.array_equal(h, h[::-1])
+            # the full grid's product sums each pair in a different order, so
+            # its pair ties only to rounding
+            scores = np.abs(cb.codewords @ h.conj())
+            p, q = np.unravel_index(np.argmax(scores), scores.shape)
+            assert scores[n - 1 - p, q] == pytest.approx(scores[p, q], rel=1e-12)
+            assert beam_sweep(cb, h) == CodewordIndex(p=min(p, n - 1 - p) + 1, q=q + 1)
+        assert 2 * p != n - 1  # the pair channel's best bin is not its own mirror
 
 
 @pytest.mark.parametrize("n", [16, 32, 33, 48, 64, 100, 128, 256])
@@ -310,10 +337,77 @@ def test_beam_sweep_matches_the_full_grid_sweep(n):
     assert [(i.p - 1) * cb.n_dis + i.q - 1 for i in got] == want.tolist()
 
 
+def float64_sweep_scores(cb, hs):
+    """(len(hs), P*Q) scores of the channels hs in (p, q) order from float64
+    products on the unrounded basis, a block of stored bins at a time."""
+    n = cb.array.n_bs
+    half, pairs = (n + 1) // 2, n // 2
+    plus, minus = (np.stack(part) for part in zip(*(nfbf.codebook._halves(h, n) for h in hs)))
+    even, odd = [], []
+    for lo in range(0, half, 16):
+        block = steering_matrix(cb.array, cb.angles[lo : min(lo + 16, half), None],
+                                cb.radii[lo : min(lo + 16, half)])
+        sums, diffs = whole_grid_basis(block)
+        even.append(plus @ sums.reshape(half, -1))
+        odd.append(minus @ diffs.reshape(pairs, -1))
+    even, odd = np.concatenate(even, axis=1), np.concatenate(odd, axis=1)
+    direct = np.abs(even + odd).reshape(len(hs), half, cb.n_dis)
+    mirror = np.abs(even - odd).reshape(len(hs), half, cb.n_dis)
+    return np.concatenate([direct, mirror[:, : n - half][:, ::-1]], axis=1).reshape(len(hs), -1)
+
+
+def sweep_channels(cb, seeds):
+    """Scenario users of the given seeds, then channels made to test the
+    screen's bound: broadside-symmetric, i.i.d. Gaussian, one codeword, and
+    a scenario user scaled far below and far above unit size."""
+    cfg = cb.array
+    n = cfg.n_bs
+    users = [u.vector for seed in seeds for u in random_scenario(cfg, 4, 3, seed=seed).users]
+    rng = np.random.default_rng(n)
+    return users + [
+        nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[n // 2, 3]))),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        np.sqrt(n) * cb.codeword(CodewordIndex(n // 3 + 1, 7)),
+        users[0] * 1e-30,
+        users[1] * 1e30,
+    ]
+
+
+@pytest.mark.parametrize("n", [16, 33, 63, 64, 128, 255, 256])
+def test_sweep_screen_stays_within_its_error_bound(n):
+    # every codeword's complex64 screen score lies within E of the float64
+    # score of the unrounded basis, 51 channels at each N
+    cb = build_codebook(ArrayConfig(n_bs=n))
+    hs = sweep_channels(cb, range(100, 112))
+    want = float64_sweep_scores(cb, hs)
+    for h, w in zip(hs, want):
+        got, bound = nfbf.codebook._screen(cb, *nfbf.codebook._halves(h, n))
+        assert got.shape == w.shape == (n * cb.n_dis,)
+        assert 0 < bound < 1e-3 * w.max()
+        assert np.max(np.abs(got - w)) <= bound
+
+
+@pytest.mark.parametrize("n", [16, 33, 64, 128, 256])
+def test_sweep_keeps_few_candidates(n):
+    # the screen keeps at least the float64 argmax, and on these seeds no more
+    # than a handful of codewords to rescore
+    cb = build_codebook(ArrayConfig(n_bs=n))
+    counts = []
+    for h in sweep_channels(cb, range(200, 250)):
+        scores, bound = nfbf.codebook._screen(cb, *nfbf.codebook._halves(h, n))
+        counts.append(int(np.count_nonzero(scores >= scores.max() - 2.0 * bound)))
+    assert min(counts) >= 1
+    assert np.median(counts) == 1
+    assert max(counts) <= 64, max(counts)
+
+
 def test_beam_sweep_zero_channel_error():
     cb = build_codebook(ArrayConfig(n_bs=4), n_dis=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero channel"):
         beam_sweep(cb, np.zeros(4, dtype=complex))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite channel"):
+            beam_sweep(cb, np.array([1.0, bad, 1.0, 1.0]))
 
 
 def test_auxiliary_points_r1_keeps_codebook_angle():
