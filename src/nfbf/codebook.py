@@ -21,8 +21,7 @@ from .geometry import ArrayConfig, PolarCoord, steering_matrix
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
 # build_codebook fills the sweep basis in place, in tiles of one angle row and
-# at most this many entries, so each tile's codewords and distance temporaries
-# stay small:
+# at most this many entries, so each tile's float64 temporaries stay small:
 # memory a worker thread frees stays in its own malloc arena, where the trials
 # after the build cannot reuse it.
 _TILE_ENTRIES = 1 << 15
@@ -34,6 +33,9 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # allocatable memory, and the cgroup v2 and v1 limits
 _MEMINFO = "/proc/meminfo"
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+# c of PolarCodebook: numpy's float32 cos and sin are taken within c 2^-24 of
+# exact on [-pi, pi]
+_TRIG_ERROR = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,46 @@ class PolarCodebook:
     basis therefore keeps only bins 1..ceil(N/2): for each such bin's codeword
     v at each ring, sums[n, p-1, q-1] = v[n] + v[N-1-n] for n < ceil(N/2) (the
     middle antenna of an odd N doubled) and diffs[n, p-1, q-1] = v[n] -
-    v[N-1-n] for n < floor(N/2), N entries a codeword in all. Each entry is
-    that complex128 sum or difference rounded once to complex64, 8 bytes: the
-    basis only screens codewords, and beam_sweep rescores the few it keeps in
-    float64. The antenna index comes first, so a sweep reads each antenna's
-    entries of every codeword as one contiguous row. Every array is read-only.
+    v[N-1-n] for n < floor(N/2), N entries a codeword in all, each complex64,
+    8 bytes. The antenna index comes first, so a sweep reads each antenna's
+    entries of every codeword as one contiguous row. Every array is
+    read-only.
+
+    The basis only screens codewords, and beam_sweep rescores the few it
+    keeps in float64, so its entries are made from float32 phases (see
+    _basis_tile). Each lies within epsilon (2/sqrt(N)) of the float64 sum or
+    difference s64 of the steering_matrix codewords, with
+
+        epsilon = 1.01 ((pi + sqrt(2) c + 3) u32 + 12 pi u64 D),
+
+    u32 = 2^-24, u64 = 2^-53, c = 2 (_TRIG_ERROR) and D the largest distance
+    in wavelengths from a grid point to an antenna, which basis_error takes
+    as the largest radius plus half the aperture. Take psi = -2 pi dist /
+    wavelength, the exact phase of an antenna's distance dist, which the
+    tiles compute bit for bit as element_distances does. Per antenna, in
+    units of 1/sqrt(N):
+    - steering_matrix's phase fl(fl(dist fl(-2 pi)) fl(1/wavelength)) is off
+      psi by at most 4 u64 |psi|, four roundings;
+    - the tile's turns t = fl(dist fl(1/wavelength)) are off dist /
+      wavelength by at most 2 u64 dist / wavelength, and t - rint(t) is
+      exact and differs from t by whole turns; its product with fl(-2 pi),
+      in [-pi, pi], is off by at most 2 pi u64, and its rounding to float32
+      by at most pi u32. Since |e^(jx) - e^(jy)| <= |x - y|, the two phases
+      put the unit phasors at most pi u32 + 12 pi u64 D + 2 pi u64 apart;
+    - float32 cos and sin are each within c u32 of exact on [-pi, pi], so
+      sqrt(2) c u32 in modulus. numpy documents its SIMD float32 sin and cos
+      within 1.49 ulp, an ulp below 1 being at most u32, and glibc's sinf and
+      cosf within 1 ulp; every float32 in [-pi, pi] measured within 1.19 u32
+      at AVX-512 and at AVX2 dispatch, and within 0.55 u32 below them;
+    - float32(1/sqrt(N)) is off 1/sqrt(N) by at most u32 + 2 u64 relative,
+      and the product with it rounds each part once: 2 u32;
+    - steering_matrix's own cos, sin and scale are off by a few u64.
+    The two antennas of an entry add up to 2 (pi + sqrt(2) c + 2) u32 +
+    24 pi u64 D, and rounding their float32 sum or difference, of modulus
+    2/sqrt(N) to first order, adds u32 2/sqrt(N), hence epsilon. The 1.01
+    covers every other term: the u64 terms not growing with D, the float64
+    rounding of s64 itself, and products of two roundings, together under
+    1e-6 of epsilon.
     """
 
     array: ArrayConfig
@@ -97,6 +134,17 @@ class PolarCodebook:
     def flat(self) -> np.ndarray:
         """(P*Q, N) array of the codewords, row-major in (p, q)."""
         return self.codewords.reshape(-1, self.array.n_bs)
+
+    @property
+    def basis_error(self) -> float:
+        """epsilon: every basis entry lies within epsilon (2/sqrt(N)) of the
+        float64 sum or difference of the whole-grid codewords."""
+        cfg = self.array
+        # the largest distance in wavelengths from a grid point to an antenna;
+        # each bin's radii fall with q
+        reach = (self.radii[:, 0].max() + cfg.spacing * (cfg.n_bs - 1) / 2.0) / cfg.wavelength
+        return float(1.01 * ((np.pi + np.sqrt(2.0) * _TRIG_ERROR + 3.0) * 2.0**-24
+                             + 12.0 * np.pi * 2.0**-53 * reach))
 
     def _check(self, idx: CodewordIndex) -> None:
         if not (1 <= idx.p <= self.array.n_bs and 1 <= idx.q <= self.n_dis):
@@ -170,17 +218,60 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _basis_tile(cfg: ArrayConfig, angle, radii: np.ndarray,
+                sums: np.ndarray, diffs: np.ndarray) -> None:
+    """Write the basis entries of the codewords at angle and radii into sums,
+    a (ceil(N/2), rings) complex64 view, and diffs, a (floor(N/2), rings) one.
+
+    element_distances takes sqrt(a - b) with a = r^2 + g^2 and b = 2 g r
+    sin(angle); antenna N-1-n has the same a and, its offset being antenna
+    n's negated, b negated exactly, so one a and b give the distances of both
+    bit for bit. Each phase is taken in turns, t = dist (1/wavelength), less
+    its nearest integer, which is exact, then multiplied by -2 pi and rounded
+    once to float32. Its float32 cosine and sine are scaled by
+    float32(1/sqrt(N)), and the entries of each mirror pair are added and
+    subtracted in float32 straight into the basis.
+    """
+    n = cfg.n_bs
+    half, pairs = (n + 1) // 2, n // 2
+    g = cfg.spacing * cfg.offsets()[:half, None]
+    r = np.asarray(radii, dtype=float)
+    a = r * r + g * g
+    b = np.multiply(2.0 * g, r)
+    b *= np.sin(np.asarray(angle, dtype=float))
+    scale = np.float32(1.0 / np.sqrt(n))
+    # antenna n, then antenna N-1-n; arrays of half a tile each stay under
+    # malloc's mmap threshold at N = 64
+    parts = []
+    for dist in (a - b, np.add(a, b, out=a)):
+        np.sqrt(dist, out=dist)
+        turns = np.multiply(dist, 1.0 / cfg.wavelength, out=dist)
+        turns -= np.rint(turns, out=b)
+        turns *= -2.0 * np.pi
+        phase = turns.astype(np.float32)
+        cos = np.cos(phase)
+        cos *= scale
+        sin = np.sin(phase, out=phase)
+        sin *= scale
+        parts.append((cos, sin))
+    (cos, sin), (cos_rev, sin_rev) = parts
+    np.add(cos, cos_rev, out=sums.real)
+    np.add(sin, sin_rev, out=sums.imag)
+    np.subtract(cos[:pairs], cos_rev[:pairs], out=diffs.real)
+    np.subtract(sin[:pairs], sin_rev[:pairs], out=diffs.imag)
+
+
 def build_codebook(
     cfg: ArrayConfig, n_dis: int = DEFAULT_N_DIS, beta: float = DEFAULT_BETA
 ) -> PolarCodebook:
     """Construct the polar codebook for the given array.
 
     Only bins 1..ceil(N/2) are built, into the sweep basis; the rest are their
-    mirror images (see PolarCodebook). Each tile's sums and differences are
-    computed in complex128 and rounded once as they are stored in complex64.
-    A codebook whose basis is larger than the memory available is a
-    ValueError, raised before anything that grows with N * n_dis is
-    allocated.
+    mirror images (see PolarCodebook). A thread pool fills the basis in place
+    in tiles of one angle row and at most _TILE_ENTRIES entries, each with
+    _basis_tile, from float32 phases; no codeword is made. A codebook whose
+    basis is larger than the memory available is a ValueError, raised before
+    anything that grows with N * n_dis is allocated.
     """
     if n_dis < 1:
         raise ValueError("n_dis must be >= 1")
@@ -202,12 +293,8 @@ def build_codebook(
 
     def fill(tile):
         p, lo = tile
-        # antenna-major views of the tile, so that the loops run along the
-        # basis rows they write
-        v = steering_matrix(cfg, angles[p], radii[p, lo : lo + rings]).T
-        rev = v[::-1]
-        np.add(v[:half], rev[:half], out=sums[:, p, lo : lo + rings])
-        np.subtract(v[:pairs], rev[:pairs], out=diffs[:, p, lo : lo + rings])
+        _basis_tile(cfg, angles[p], radii[p, lo : lo + rings],
+                    sums[:, p, lo : lo + rings], diffs[:, p, lo : lo + rings])
 
     tiles = [(p, lo) for p in range(half) for lo in range(0, n_dis, rings)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
@@ -253,7 +340,7 @@ def _screen(cb: PolarCodebook, plus: np.ndarray, minus: np.ndarray) -> tuple[np.
     scores = np.concatenate([direct, mirror[: n - half][::-1]]).reshape(-1)
     k = 2 * half
     gamma = [k * u / (1.0 - k * u) for u in (2.0**-24, 2.0**-53)]
-    bound = (1.01 * (np.sqrt(2.0) * sum(gamma) + 2.0**-23) * 2.0 / np.sqrt(n)
+    bound = (1.01 * (np.sqrt(2.0) * sum(gamma) + 2.0**-24 + cb.basis_error) * 2.0 / np.sqrt(n)
              * (size[0].sum() + size[1].sum()))
     return scores, float(bound)
 
@@ -271,14 +358,16 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     Screen. Every codeword is scored with two complex64 vector-matrix
     products, h+* and h-* rounded to complex64 against the complex64 basis,
     the parts joined and their modulus taken in float64. Its gap to sigma64,
-    any float64 evaluation of the same products on the unrounded basis (a
-    full-basis matrix product, or the rescore below), is at most
+    any float64 evaluation of the same products on the float64 basis, the
+    sums and differences s, d of steering_matrix codewords (a full-basis
+    matrix product, or the rescore below), is at most
 
-        E = 1.01 (sqrt(2) (gamma32_k + gamma64_k) + 2 u32) (2 / sqrt(N)) (||h+||_1 + ||h-||_1),
+        E = 1.01 (sqrt(2) (gamma32_k + gamma64_k) + u32 + epsilon) (2 / sqrt(N)) (||h+||_1 + ||h-||_1),
 
-    with m = ceil(N/2), k = 2m, u32 = 2^-24, u64 = 2^-53 and gamma_k =
-    k u / (1 - k u). Take sigma, the exact score of the float64 halves
-    h+, h- and float64 basis s, d, for which |s|, |d| <= 2/sqrt(N). Then:
+    with m = ceil(N/2), k = 2m, u32 = 2^-24, u64 = 2^-53, gamma_k =
+    k u / (1 - k u) and epsilon the basis bound cb.basis_error (see
+    PolarCodebook). Take sigma, the exact score of the float64 halves h+, h-
+    and the float64 basis s, d, for which |s|, |d| <= 2/sqrt(N). Then:
     - each product's real part is a sum of 2m rounded real products and its
       imaginary part another; in any order, with or without fused
       multiply-adds, at any BLAS thread count or SIMD dispatch, each part is
@@ -288,16 +377,18 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
       (Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.6)
       with k = 2m in place of m + 2, which covers a kernel that accumulates
       the real products apart, and holds for m >= 1;
-    - rounding h+ and s to complex64 moves each term h+* s by at most
-      (2 u32 + u32^2) |h+||s|, hence 2 u32 (2/sqrt(N)) ||h+||_1 to first
-      order; likewise for h- and d;
+    - rounding h+ to complex64 moves each term h+* s by at most
+      u32 |h+||s|, and the complex64 entry, within epsilon (2/sqrt(N)) of s,
+      moves it by at most epsilon (2/sqrt(N)) |h+|: hence (u32 + epsilon)
+      (2/sqrt(N)) ||h+||_1 to first order; likewise for h- and d;
     - sigma64 is itself off sigma by at most sqrt(2) gamma64_k times the same
       sums, the float64 products' own rounding.
-    The factor 1.01 covers every second-order term: the u32^2 and
-    gamma32 u32 terms, |s| and |d| exceeding 2/sqrt(N) by a few u64, the
-    float64 sum, difference and modulus of the joined parts (a few u64 of
-    the sums), the rounding of E itself and of the threshold below, together
-    under 2e-7 of E. The products run on h+ and h- scaled by a power of two
+    The factor 1.01 covers every second-order term: the u32 epsilon and
+    gamma32 (u32 + epsilon) terms, |s| and |d| exceeding 2/sqrt(N) by a few
+    u64 and the complex64 entries by up to epsilon, the float64 sum,
+    difference and modulus of the joined parts (a few u64 of the sums), the
+    rounding of E itself and of the threshold below, together under 1e-6 of
+    E. The products run on h+ and h- scaled by a power of two
     to a largest modulus in [1/2, 1), which scales every score exactly and
     keeps float32 clear of overflow; an entry underflowing float32 adds at
     most about 2m 2^-149 to a scaled product, also inside the 1.01.
@@ -310,10 +401,11 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     others are candidates. The sweep returns the first maximum in (p, q)
     order. With sigma64 the rescore of every codeword, its first maximum j*
     is a candidate: score32(j*) >= sigma64(j*) - E >= sigma64(j) - E >=
-    score32(j) - 2E for every j. The sweep therefore returns the first
-    maximum of the float64 rescore over the whole grid, and the argmax of a
-    full-basis float64 product, a candidate too, differs from it only where
-    two codewords score within that product's rounding. A
+    score32(j) - 2E for every j. A lone candidate is therefore j* and is
+    returned without a rescore, which is the usual case. The sweep returns
+    the first maximum of the float64 rescore over the whole grid, and the
+    argmax of a full-basis float64 product, a candidate too, differs from it
+    only where two codewords score within that product's rounding. A
     broadside-symmetric h has h- = 0, so a mirror pair ties exactly and the
     smaller p wins.
     """
@@ -327,16 +419,18 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     plus, minus = _halves(h, n)
     scores, bound = _screen(cb, plus, minus)
     found = np.flatnonzero(scores >= scores.max() - 2.0 * bound)  # in (p, q) order
-    p, q = np.divmod(found, cb.n_dis)
-    stored = np.minimum(p, n - 1 - p)
-    v = steering_matrix(cb.array, cb.angles[stored], cb.radii[stored, q])
-    rev = v[:, ::-1]
-    # each row is multiplied and summed apart, so the rows of a mirror pair,
-    # one stored bin's, score alike bit for bit
-    even = ((v[:, :half] + rev[:, :half]) * plus).sum(axis=1)
-    odd = ((v[:, :pairs] - rev[:, :pairs]) * minus).sum(axis=1)
-    rescored = np.abs(np.where(p < half, even + odd, even - odd))
-    idx = int(found[np.argmax(rescored)])  # first max = lexicographic smallest
+    idx = int(found[0])
+    if found.size > 1:  # a lone candidate is the float64 first maximum
+        p, q = np.divmod(found, cb.n_dis)
+        stored = np.minimum(p, n - 1 - p)
+        v = steering_matrix(cb.array, cb.angles[stored], cb.radii[stored, q])
+        rev = v[:, ::-1]
+        # each row is multiplied and summed apart, so the rows of a mirror pair,
+        # one stored bin's, score alike bit for bit
+        even = ((v[:, :half] + rev[:, :half]) * plus).sum(axis=1)
+        odd = ((v[:, :pairs] - rev[:, :pairs]) * minus).sum(axis=1)
+        rescored = np.abs(np.where(p < half, even + odd, even - odd))
+        idx = int(found[np.argmax(rescored)])  # first max = lexicographic smallest
     return CodewordIndex(p=idx // cb.n_dis + 1, q=idx % cb.n_dis + 1)
 
 

@@ -38,6 +38,15 @@ def whole_grid_basis(whole):
     return v[:half] + rev[:half], v[:pairs] - rev[:pairs]
 
 
+def assert_basis_within_its_bound(cb, whole):
+    """Every entry of cb's basis lies within epsilon (2/sqrt(N)) of
+    whole_grid_basis(whole), the float64 basis of the same grid."""
+    tol = cb.basis_error * 2.0 / np.sqrt(whole.shape[-1])
+    for got, want in zip((cb.sums, cb.diffs), whole_grid_basis(whole)):
+        assert got.dtype == np.complex64 and got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
 def test_grid_angle_first_bin_n4():
     # arcsin((2*1 - 1 - 4) / 4) = arcsin(-0.75)
     assert float(grid_angle(4, 1)) == pytest.approx(-0.848062078981481, rel=1e-15)
@@ -142,21 +151,18 @@ def test_blocked_build_equals_one_whole_grid_steering_call(
     # grid_tiles is the tile count of the whole grid; only stored bins are built
     cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
     shapes = []
-    real = nfbf.codebook.steering_matrix
+    real = nfbf.codebook._basis_tile
     monkeypatch.setattr(nfbf.codebook, "_WORKERS", workers)
     monkeypatch.setattr(nfbf.codebook, "_TILE_ENTRIES", tile_entries)
-    monkeypatch.setattr(nfbf.codebook, "steering_matrix",
-                        lambda cfg, angles, radii: shapes.append(np.shape(radii))
-                        or real(cfg, angles, radii))
+    monkeypatch.setattr(nfbf.codebook, "_basis_tile",
+                        lambda cfg, angle, radii, sums, diffs: shapes.append(np.shape(radii))
+                        or real(cfg, angle, radii, sums, diffs))
     cb = build_codebook(cfg)
     assert len(shapes) == grid_tiles // n * ((n + 1) // 2)
     # the tiles' rings add up to the stored bins' rows, whatever np.empty left in the rest
     assert sum(rings for (rings,) in shapes) == (n + 1) // 2 * 320
-    whole = real(cfg, cb.angles[:, None], cb.radii)
-    sums, diffs = (b.astype(np.complex64) for b in whole_grid_basis(whole))
-    assert cb.sums.shape == sums.shape == (n // 2, n // 2, 320)
-    assert np.array_equal(cb.sums, sums)
-    assert np.array_equal(cb.diffs, diffs)
+    assert cb.sums.shape == (n // 2, n // 2, 320)
+    assert_basis_within_its_bound(cb, steering_matrix(cfg, cb.angles[:, None], cb.radii))
 
 
 @pytest.mark.parametrize("wavelength", [1.0, 0.01])
@@ -168,9 +174,7 @@ def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
     assert cb.sums.shape == (half, half, 320)
     assert cb.diffs.shape == (n // 2, half, 320)
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
-    sums, diffs = (b.astype(np.complex64) for b in whole_grid_basis(whole))
-    assert np.array_equal(cb.sums, sums)
-    assert np.array_equal(cb.diffs, diffs)
+    assert_basis_within_its_bound(cb, whole)
     assert np.array_equal(cb.codewords, whole)
     assert np.array_equal(cb.flat(), whole.reshape(-1, n))
     for p in range(n):
@@ -186,9 +190,7 @@ def test_every_small_grid_equals_one_whole_grid_steering_call():
         half = (n + 1) // 2
         assert cb.sums.shape == (half, half, 3) and cb.diffs.shape == (n // 2, half, 3)
         whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
-        sums, diffs = (b.astype(np.complex64) for b in whole_grid_basis(whole))
-        assert np.array_equal(cb.sums, sums), n
-        assert np.array_equal(cb.diffs, diffs), n
+        assert_basis_within_its_bound(cb, whole)
         assert np.array_equal(whole[half:], whole[: n - half][::-1, :, ::-1]), n
 
 
@@ -226,15 +228,15 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
 
     cfg = ArrayConfig(n_bs=16)
     bad_angle = grid_angle(16, 8)  # a stored bin; bin 9 mirrors it and is not built
-    real = nfbf.codebook.steering_matrix
+    real = nfbf.codebook._basis_tile
 
-    def steer(cfg, angles, radii, out=None):
-        if angles == bad_angle:
+    def tile(cfg, angle, radii, sums, diffs):
+        if angle == bad_angle:
             raise TileError
-        return real(cfg, angles, radii, out=out)
+        real(cfg, angle, radii, sums, diffs)
 
     monkeypatch.setattr(nfbf.codebook, "_WORKERS", 2)
-    monkeypatch.setattr(nfbf.codebook, "steering_matrix", steer)
+    monkeypatch.setattr(nfbf.codebook, "_basis_tile", tile)
     with pytest.raises(TileError):
         build_codebook(cfg)
 
@@ -339,7 +341,7 @@ def test_beam_sweep_matches_the_full_grid_sweep(n):
 
 def float64_sweep_scores(cb, hs):
     """(len(hs), P*Q) scores of the channels hs in (p, q) order from float64
-    products on the unrounded basis, a block of stored bins at a time."""
+    products on the float64 basis, a block of stored bins at a time."""
     n = cb.array.n_bs
     half, pairs = (n + 1) // 2, n // 2
     plus, minus = (np.stack(part) for part in zip(*(nfbf.codebook._halves(h, n) for h in hs)))
@@ -399,6 +401,55 @@ def test_sweep_keeps_few_candidates(n):
     assert min(counts) >= 1
     assert np.median(counts) == 1
     assert max(counts) <= 64, max(counts)
+
+
+@pytest.mark.parametrize("wavelength", [1.0, 0.01])
+@pytest.mark.parametrize("n", [16, 33, 63, 64, 255, 256])
+def test_sweep_basis_within_its_bound(n, wavelength):
+    # every entry of the default codebook's basis, against the float64 sums
+    # and differences of its steering_matrix codewords
+    cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
+    cb = build_codebook(cfg)
+    half = (n + 1) // 2
+    assert_basis_within_its_bound(cb, steering_matrix(cfg, cb.angles[:half, None], cb.radii[:half]))
+
+
+def test_sweep_basis_within_its_bound_at_the_largest_radii():
+    # ring q's radius does not depend on n_dis, so a 4-ring codebook holds the
+    # default codebook's four largest rings, whose phases the float64 terms
+    # of the bound grow with
+    cfg = ArrayConfig(n_bs=1024)
+    cb = build_codebook(cfg, n_dis=4)
+    assert cb.radii.max() > 5e4
+    tol = cb.basis_error * 2.0 / np.sqrt(cfg.n_bs)
+    for lo in range(0, 512, 128):
+        block = steering_matrix(cfg, cb.angles[lo : lo + 128, None], cb.radii[lo : lo + 128])
+        for got, want in zip((cb.sums, cb.diffs), whole_grid_basis(block)):
+            assert np.max(np.abs(got[:, lo : lo + 128] - want)) <= tol
+
+
+def test_sweep_rescores_only_several_candidates(monkeypatch):
+    # a lone candidate is the float64 first maximum, returned with no
+    # steering_matrix call; a broadside-symmetric channel keeps a mirror pair
+    # and is rescored
+    cfg = ArrayConfig(n_bs=64)
+    cb = build_codebook(cfg)
+    calls = []
+    real = nfbf.codebook.steering_matrix
+    monkeypatch.setattr(nfbf.codebook, "steering_matrix",
+                        lambda *args: calls.append(args) or real(*args))
+    user = random_scenario(cfg, 4, 3, seed=7).users[0].vector
+    best = int(np.argmax(np.abs(cb.flat() @ user.conj())))
+    broadside = nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[32, 3])))
+    # bins 32 and 33 flank broadside and tie exactly; the smaller p wins
+    for h, rescores, want in ((user, 0, CodewordIndex(best // 320 + 1, best % 320 + 1)),
+                              (broadside, 1, CodewordIndex(32, 4))):
+        scores, bound = nfbf.codebook._screen(cb, *nfbf.codebook._halves(h, 64))
+        kept = np.flatnonzero(scores >= scores.max() - 2.0 * bound)
+        assert (kept.size > 1) == rescores
+        calls.clear()
+        assert beam_sweep(cb, h) == want
+        assert len(calls) == rescores
 
 
 def test_beam_sweep_zero_channel_error():
