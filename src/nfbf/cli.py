@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .codebook import build_codebook, export_codebook_csv
+from .codebook import codebook_grid, export_codebook_csv
 from .harness import (
     SWEEP_AXES,
     ExperimentSpec,
@@ -98,7 +98,8 @@ def _cmd_codebook(args) -> int:
     if args.out is None:
         raise ValueError("codebook export needs --out")
     spec = _apply_overrides(_load_spec(args.config, "sumrate-vs-snr"), args)
-    cb = build_codebook(spec.array_config(), spec.n_dis, spec.beta)
+    # the export writes the grid alone, so no sweep basis is built
+    cb = codebook_grid(spec.array_config(), spec.n_dis, spec.beta)
     export_codebook_csv(cb, args.out)
     print(f"wrote {cb.array.n_bs * cb.n_dis} codewords to {args.out}")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,18 +50,24 @@ class CodewordIndex:
 class PolarCodebook:
     """Immutable angle-by-distance grid of unit-norm near-field codewords.
 
-    The codebook holds the grid (angles, radii) and the sweep basis; codewords
-    are steering vectors made on demand, in complex128. The grid sines of
-    bins p and N+1-p are exact negations (see grid_angle), so their radii rows
-    are equal and, the element offsets being antisymmetric, bin N+1-p's
-    codeword is bin p's reversed along the antenna axis, bit for bit. The
-    basis therefore keeps only bins 1..ceil(N/2): for each such bin's codeword
-    v at each ring, sums[n, p-1, q-1] = v[n] + v[N-1-n] for n < ceil(N/2) (the
-    middle antenna of an odd N doubled) and diffs[n, p-1, q-1] = v[n] -
-    v[N-1-n] for n < floor(N/2), N entries a codeword in all, each complex64,
-    8 bytes. The antenna index comes first, so a sweep reads each antenna's
-    entries of every codeword as one contiguous row. Every array is
-    read-only.
+    The codebook holds the grid (angles, radii) and the sweep basis (sums,
+    diffs); codewords are steering vectors made on demand, in complex128.
+    beam_sweep is the only reader of the basis. The grid-only form, from
+    codebook_grid or without_basis, has sums and diffs None and serves every
+    design: codewords, auxiliary points and their steering stacks come from
+    the grid alone, bit for bit as from the full codebook. A run drops the
+    basis once its last sweep is done (see harness.run_experiment).
+
+    The grid sines of bins p and N+1-p are exact negations (see grid_angle),
+    so their radii rows are equal and, the element offsets being
+    antisymmetric, bin N+1-p's codeword is bin p's reversed along the antenna
+    axis, bit for bit. The basis therefore keeps only bins 1..ceil(N/2): for
+    each such bin's codeword v at each ring, sums[n, p-1, q-1] = v[n] +
+    v[N-1-n] for n < ceil(N/2) (the middle antenna of an odd N doubled) and
+    diffs[n, p-1, q-1] = v[n] - v[N-1-n] for n < floor(N/2), N entries a
+    codeword in all, each complex64, 8 bytes. The antenna index comes first,
+    so a sweep reads each antenna's entries of every codeword as one
+    contiguous row. Every array is read-only.
 
     The basis only screens codewords, and beam_sweep rescores the few it
     keeps in float64, so its entries are made from float32 phases (see
@@ -105,8 +111,16 @@ class PolarCodebook:
     beta: float
     angles: np.ndarray  # (P,) grid angles, strictly increasing
     radii: np.ndarray  # (P, Q) ring radii, strictly decreasing in q
-    sums: np.ndarray  # (ceil(N/2), ceil(P/2), Q) complex64, v[n] + v[N-1-n] of bins 1..ceil(P/2)
-    diffs: np.ndarray  # (floor(N/2), ceil(P/2), Q) complex64, v[n] - v[N-1-n] of the same
+    # (ceil(N/2), ceil(P/2), Q) complex64, v[n] + v[N-1-n] of bins 1..ceil(P/2);
+    # None in the grid-only form
+    sums: np.ndarray | None = None
+    # (floor(N/2), ceil(P/2), Q) complex64, v[n] - v[N-1-n] of the same; None likewise
+    diffs: np.ndarray | None = None
+
+    def without_basis(self) -> PolarCodebook:
+        """The grid-only form of this codebook: the same angles and radii
+        arrays, shared and not copied, and no sweep basis."""
+        return replace(self, sums=None, diffs=None)
 
     def codeword(self, idx: CodewordIndex) -> np.ndarray:
         """(N,) steering vector of codeword idx, a new array."""
@@ -261,10 +275,28 @@ def _basis_tile(cfg: ArrayConfig, angle, radii: np.ndarray,
     np.subtract(sin[:pairs], sin_rev[:pairs], out=diffs.imag)
 
 
+def codebook_grid(
+    cfg: ArrayConfig, n_dis: int = DEFAULT_N_DIS, beta: float = DEFAULT_BETA
+) -> PolarCodebook:
+    """The grid-only codebook: build_codebook's angles and radii, bit for
+    bit, without the sweep basis, so nothing of N * N_dis * N entries is
+    allocated."""
+    if n_dis < 1:
+        raise ValueError("n_dis must be >= 1")
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    angles = grid_angle(cfg.n_bs, np.arange(1, cfg.n_bs + 1))
+    q = np.arange(1, n_dis + 1, dtype=float)
+    radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
+    return PolarCodebook(array=cfg, n_dis=n_dis, beta=beta, angles=_read_only(angles),
+                         radii=_read_only(radii))
+
+
 def build_codebook(
     cfg: ArrayConfig, n_dis: int = DEFAULT_N_DIS, beta: float = DEFAULT_BETA
 ) -> PolarCodebook:
-    """Construct the polar codebook for the given array.
+    """Construct the polar codebook for the given array: codebook_grid's grid
+    and the sweep basis.
 
     Only bins 1..ceil(N/2) are built, into the sweep basis; the rest are their
     mirror images (see PolarCodebook). A thread pool fills the basis in place
@@ -273,37 +305,28 @@ def build_codebook(
     basis is larger than the memory available is a ValueError, raised before
     anything that grows with N * n_dis is allocated.
     """
-    if n_dis < 1:
-        raise ValueError("n_dis must be >= 1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     n = cfg.n_bs
-    angles = grid_angle(n, np.arange(1, n + 1))
     half, pairs = (n + 1) // 2, n // 2
     need = half * n_dis * n * np.dtype(np.complex64).itemsize
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(f"the codebook of N = {n} with {n_dis} rings needs {need / 1e9:.3g} GB, "
                          f"more than the {available / 1e9:.3g} GB of memory available")
-    q = np.arange(1, n_dis + 1, dtype=float)
-    radii = ring_radius(cfg, np.sin(angles)[:, None], q[None, :], beta)
+    grid = codebook_grid(cfg, n_dis, beta)
     sums = np.empty((half, half, n_dis), dtype=np.complex64)
     diffs = np.empty((pairs, half, n_dis), dtype=np.complex64)
     rings = max(1, _TILE_ENTRIES // n)
 
     def fill(tile):
         p, lo = tile
-        _basis_tile(cfg, angles[p], radii[p, lo : lo + rings],
+        _basis_tile(cfg, grid.angles[p], grid.radii[p, lo : lo + rings],
                     sums[:, p, lo : lo + rings], diffs[:, p, lo : lo + rings])
 
     tiles = [(p, lo) for p in range(half) for lo in range(0, n_dis, rings)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         for _ in pool.map(fill, tiles):  # reading each result raises a tile's error
             pass
-    return PolarCodebook(
-        array=cfg, n_dis=n_dis, beta=beta, angles=_read_only(angles), radii=_read_only(radii),
-        sums=_read_only(sums), diffs=_read_only(diffs),
-    )
+    return replace(grid, sums=_read_only(sums), diffs=_read_only(diffs))
 
 
 def _halves(h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,7 +431,13 @@ def beam_sweep(cb: PolarCodebook, h: np.ndarray) -> CodewordIndex:
     only where two codewords score within that product's rounding. A
     broadside-symmetric h has h- = 0, so a mirror pair ties exactly and the
     smaller p wins.
+
+    The sweep reads cb's basis, so a grid-only codebook (see PolarCodebook)
+    is a ValueError.
     """
+    if cb.sums is None or cb.diffs is None:
+        raise ValueError("cannot sweep a codebook without its sweep basis (sums, diffs); "
+                         "build_codebook makes one")
     h = np.asarray(h)
     if not np.all(np.isfinite(h)):
         raise ValueError("cannot sweep a non-finite channel")

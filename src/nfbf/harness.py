@@ -237,12 +237,13 @@ def _design_table(spec: ExperimentSpec, chunk: list, cb: PolarCodebook | None, c
                   pilot_noise_factor: float) -> dict:
     """Every cell's beamformers for a chunk of trials that share N and K.
 
-    chunk holds each trial's (scenario, swept indices or None), cells the
-    (scheme, noise power, (R, S)) keys. The result maps each cell to one entry
-    per trial: a BeamformerMatrix, or the SingularEffectiveChannelError its ZF
-    design raised. Each design is made once, keyed on what it depends on:
-    steering, the effective channel and ZF per trial, each MM regime and grid
-    as one batch, and every WMMSE problem as one batch.
+    chunk holds each trial's (scenario, swept indices or None), cb the
+    grid-only codebook or None, cells the (scheme, noise power, (R, S)) keys.
+    The result maps each cell to one entry per trial: a BeamformerMatrix, or
+    the SingularEffectiveChannelError its ZF design raised. Each design is
+    made once, keyed on what it depends on: steering, the effective channel
+    and ZF per trial, each MM regime and grid as one batch, and every WMMSE
+    problem as one batch.
     """
     design_of = {}  # cell -> (kind, regime, what else its design depends on)
     for scheme, sigma2, aux in cells:
@@ -300,7 +301,16 @@ def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    """Run one sweep experiment and aggregate per-scheme metrics."""
+    """Run one sweep experiment and aggregate per-scheme metrics.
+
+    Trials run in chunks of TRIAL_CHUNK: each chunk's trials are drawn and
+    swept, then designed in one _design_table per array and K, then rated.
+    The codebooks are built once, before the first draw. The sweeps alone
+    read their bases; every design table gets the grid-only codebook, and the
+    run drops its last reference to each basis once the last chunk is swept,
+    before that chunk's designs. A run of at most TRIAL_CHUNK trials thus
+    designs and rates without any basis held.
+    """
     if spec.experiment == "beam-pattern":
         raise ValueError("beam-pattern runs through run_beam_pattern")
     if spec.experiment == "aux-sweep":
@@ -328,6 +338,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         for _, vs, _ in per_value:
             if vs.n_bs not in codebooks:
                 codebooks[vs.n_bs] = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
+    grids = {n: cb.without_basis() for n, cb in codebooks.items()}
 
     # per array and K: the spec of its first sweep value, and every
     # (scheme, noise power, (R, S)) cell of its sweep values
@@ -352,8 +363,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     for first in range(0, spec.trials, TRIAL_CHUNK):
         chunk = [draw(spec.base_seed + t)
                  for t in range(first, min(first + TRIAL_CHUNK, spec.trials))]
+        if first + TRIAL_CHUNK >= spec.trials:
+            codebooks.clear()  # the last sweep is done: free every basis before the designs
         tables = {key: _design_table(spec, [trial[key] for trial in chunk],
-                                     codebooks.get(vs.n_bs), cells, spec.pilot_noise_factor)
+                                     grids.get(vs.n_bs), cells, spec.pilot_noise_factor)
                   for key, (vs, cells) in groups.items()}
         for t, trial in enumerate(chunk):
             for v, vs, sigma2 in per_value:
@@ -453,9 +466,12 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     sigma2 = noise_from_snr(spec.p, k, spec.snr_db)
     cb = build_codebook(cfg, spec.n_dis, spec.beta) if _needs_codebook(spec.schemes) else None
     aux = (spec.r_count, spec.s_count)
+    chunk = [(scenario, _swept_indices(scenario, cb))]
+    if cb is not None:
+        cb = cb.without_basis()  # its one sweep is done: free the basis before the designs
     # patterns are deterministic readouts, so the effective channel stays noiseless
-    table = _design_table(spec, [(scenario, _swept_indices(scenario, cb))], cb,
-                          [(scheme, sigma2, aux) for scheme in spec.schemes], 0.0)
+    table = _design_table(spec, chunk, cb, [(scheme, sigma2, aux) for scheme in spec.schemes],
+                          0.0)
 
     lam = cfg.wavelength
     angles_deg = np.arange(-90.0, 91.0, 1.0)

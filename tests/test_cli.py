@@ -12,6 +12,8 @@ import pytest
 
 import nfbf.codebook
 from nfbf.cli import main
+from nfbf.codebook import build_codebook, export_codebook_csv
+from nfbf.geometry import ArrayConfig
 from nfbf.harness import CSV_HEADER
 
 
@@ -188,6 +190,21 @@ def test_codebook_export(tmp_path):
     assert len(lines) == 1 + 8 * 320
     code2, _, err = _run(["codebook", "--nbs", "8"])
     assert code2 == 2 and "needs --out" in err
+
+
+def test_codebook_export_needs_no_memory_for_the_basis(tmp_path, monkeypatch):
+    # the export writes the grid, so a memory figure below the N = 64 basis,
+    # which build_codebook refuses, still writes the full codebook's CSV
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    cfg = ArrayConfig(n_bs=64)
+    export_codebook_csv(build_codebook(cfg), str(want))
+    basis = 32 * 320 * 64 * 8
+    monkeypatch.setattr(nfbf.codebook, "_available_memory", lambda: basis - 1)
+    with pytest.raises(ValueError, match="GB of memory available"):
+        build_codebook(cfg)
+    code, stdout, _ = _run(["codebook", "--nbs", "64", "--out", str(got)])
+    assert code == 0 and "wrote 20480 codewords" in stdout
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_module_form_runs_without_installing(tmp_path):

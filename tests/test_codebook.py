@@ -14,6 +14,7 @@ from nfbf.codebook import (
     auxiliary_points,
     beam_sweep,
     build_codebook,
+    codebook_grid,
     export_codebook_csv,
     grid_angle,
     ring_radius,
@@ -27,6 +28,7 @@ from nfbf.geometry import (
     steering_matrix,
 )
 from nfbf.hbf import analog_beam_steering
+from nfbf.mm import MMConfig, aobf_imperfect_csi
 
 def whole_grid_basis(whole):
     """The antenna-major sweep basis of bins 1..ceil(N/2) from a whole-grid
@@ -594,3 +596,65 @@ def test_default_codebook_spans_near_field():
     r = cb.radii[mid]
     assert float(r[0]) == pytest.approx(200.0 * (1 - 1.0 / 64.0**2), rel=1e-12)
     assert float(r[-1]) == pytest.approx(r[0] / 320.0, rel=1e-12)
+
+
+def test_sweep_rejects_a_grid_only_codebook():
+    cfg = ArrayConfig(n_bs=16)
+    cb = build_codebook(cfg, n_dis=10)
+    h = nearfield_steering(cfg, cb.location(CodewordIndex(3, 4)))
+    for grid in (cb.without_basis(), codebook_grid(cfg, n_dis=10)):
+        with pytest.raises(ValueError, match="without its sweep basis"):
+            beam_sweep(grid, h)
+    assert beam_sweep(cb, h) == CodewordIndex(3, 4)
+
+
+def test_grid_only_codebooks_share_the_full_codebooks_grid():
+    # without_basis shares the arrays themselves; codebook_grid makes the same
+    # bits anew; both stay read-only and hold no basis
+    cfg = ArrayConfig(n_bs=16)
+    cb = build_codebook(cfg, n_dis=10)
+    shared = cb.without_basis()
+    assert shared.angles is cb.angles and shared.radii is cb.radii
+    made = codebook_grid(cfg, n_dis=10)
+    assert np.array_equal(made.angles, cb.angles) and np.array_equal(made.radii, cb.radii)
+    for grid in (shared, made):
+        assert (grid.array, grid.n_dis, grid.beta) == (cfg, 10, cb.beta)
+        assert grid.sums is None and grid.diffs is None
+        for field in ("angles", "radii"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, field)[0] = 0
+    assert cb.sums is not None and cb.diffs is not None  # the full codebook keeps its basis
+    with pytest.raises(ValueError):
+        codebook_grid(cfg, n_dis=0)
+    with pytest.raises(ValueError):
+        codebook_grid(cfg, beta=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_grid_only_designs_equal_the_full_codebooks_bit_for_bit(n):
+    # every design reads only the grid: imperfect MM, imperfect steering,
+    # auxiliary grids, their steering stacks and codewords are the same bits
+    # from either grid-only form as from the full codebook
+    cfg = ArrayConfig(n_bs=n)
+    cb = build_codebook(cfg, n_dis=40)
+    indices = [[beam_sweep(cb, u.vector) for u in random_scenario(cfg, 2, 2, seed).users]
+               for seed in range(2)]
+    flat = [idx for trial in indices for idx in trial]
+    mm = MMConfig(t_max=20)
+    want_mm, _ = aobf_imperfect_csi(cb, indices, 2, 2, mm)
+    want_aux = [auxiliary_points(cb, idx, 2, 3) for idx in flat]
+    for grid in (cb.without_basis(), codebook_grid(cfg, n_dis=40)):
+        got_mm, _ = aobf_imperfect_csi(grid, indices, 2, 2, mm)
+        assert np.array_equal(got_mm.matrix, want_mm.matrix)
+        for trial in indices:
+            assert np.array_equal(analog_beam_steering("imperfect", cb=grid, indices=trial).matrix,
+                                  analog_beam_steering("imperfect", cb=cb, indices=trial).matrix)
+        got_aux = [auxiliary_points(grid, idx, 2, 3) for idx in flat]
+        for got, want in zip(got_aux, want_aux, strict=True):
+            assert np.array_equal(got.angles, want.angles)
+            assert np.array_equal(got.radii, want.radii)
+        for got, want in zip(approximate_channel_matrices(grid, got_aux),
+                             approximate_channel_matrices(cb, want_aux), strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(grid.codewords_at(flat), cb.codewords_at(flat))
+        assert np.array_equal(grid.flat(), cb.flat())

@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo experiment harness."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -641,3 +643,64 @@ def test_every_stage_runs_once_per_design_and_cell(monkeypatch):
         "aobf_imperfect_csi": 1,
         "sum_rate": 72,
     }
+
+
+def _basis_lifetimes(monkeypatch):
+    """Weak references to every basis array build_codebook returns to the
+    harness, and a log of each _design_table call: whether every basis was
+    freed by then and whether the codebook it got was grid-only."""
+    refs, designs = [], []
+    real_build, real_design = nfbf.harness.build_codebook, nfbf.harness._design_table
+
+    def build(*args):
+        cb = real_build(*args)
+        refs.extend([weakref.ref(cb.sums), weakref.ref(cb.diffs)])
+        return cb
+
+    def design(spec, chunk, cb, *args):
+        gc.collect()
+        designs.append((all(ref() is None for ref in refs), cb is None or cb.sums is None))
+        return real_design(spec, chunk, cb, *args)
+
+    monkeypatch.setattr(nfbf.harness, "build_codebook", build)
+    monkeypatch.setattr(nfbf.harness, "_design_table", design)
+    return refs, designs
+
+
+def test_a_one_chunk_run_frees_every_basis_before_its_designs(monkeypatch):
+    # two arrays, so two codebooks: both bases are gone when the first design
+    # table starts, and every table gets a grid-only codebook
+    refs, designs = _basis_lifetimes(monkeypatch)
+    spec = _tiny_spec(experiment="sumrate-vs-nbs", schemes=("aobf-imperfect", "steer-imperfect"),
+                      trials=3, sweep=(8, 16))
+    run_experiment(spec)
+    assert len(refs) == 4
+    assert designs == [(True, True), (True, True)]
+
+
+def test_a_chunked_run_holds_each_basis_through_its_last_sweep(monkeypatch):
+    # 5 trials in chunks of 2: the bases live through the designs of chunks 1
+    # and 2 and through every sweep of chunk 3, and are gone at its designs;
+    # the CSV is the one-chunk run's
+    spec = _tiny_spec(schemes=("aobf-imperfect", "hbf-zf-imperfect"), trials=5,
+                      sweep=(0.0, 10.0))
+    whole = run_experiment(spec).to_csv()
+    refs, designs = _basis_lifetimes(monkeypatch)
+    sweeps = []
+    real_sweep = nfbf.harness.beam_sweep
+    monkeypatch.setattr(nfbf.harness, "beam_sweep", lambda cb, h: sweeps.append(
+        all(ref() is not None for ref in refs) and cb.sums is not None) or real_sweep(cb, h))
+    monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
+    assert run_experiment(spec).to_csv() == whole
+    assert len(refs) == 2
+    assert sweeps == [True] * spec.trials * spec.k
+    assert designs == [(False, True), (False, True), (True, True)]
+
+
+def test_beam_pattern_frees_the_basis_after_its_sweep(monkeypatch):
+    refs, designs = _basis_lifetimes(monkeypatch)
+    spec = ExperimentSpec(experiment="beam-pattern",
+                          schemes=("aobf-imperfect", "steer-imperfect"), n_bs=16, n_dis=20)
+    run_beam_pattern(spec)
+    assert len(refs) == 2
+    assert designs == [(True, True)]
