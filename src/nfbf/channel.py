@@ -107,22 +107,6 @@ def random_scenario(
     return Scenario(users=users, array=cfg, seed=seed)
 
 
-def received_signal(h, f_matrix, x, p, sigma2, noise_sample):
-    """y = sqrt(P) h^H F x + sqrt(sigma2) * noise_sample.
-
-    noise_sample is a unit-variance complex draw supplied by the caller and
-    scaled by sqrt(sigma2) here, so one sample can be reused across noise
-    levels. Intended for end-to-end sanity checks; the metrics module computes
-    rates analytically.
-    """
-    m = np.asarray(getattr(f_matrix, "matrix", f_matrix))
-    h = np.asarray(h)
-    x = np.asarray(x)
-    if m.shape[0] != h.shape[0] or m.shape[1] != x.shape[0]:
-        raise ValueError("dimension mismatch")
-    return np.sqrt(p) * (h.conj() @ (m @ x)) + np.sqrt(sigma2) * noise_sample
-
-
 def scenario_to_json(sc: Scenario) -> str:
     """Serialize a scenario (seed, array, per-user paths) to JSON."""
     doc = {

@@ -10,8 +10,6 @@ a surrogate channel support for imperfect-CSI beamformer design.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,14 +19,9 @@ from .geometry import ArrayConfig, PolarCoord, steering_matrix
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
 # build_codebook fills the sweep basis in place, in tiles of one angle row and
-# at most this many entries, so each tile's float64 temporaries stay small:
-# memory a worker thread frees stays in its own malloc arena, where the trials
-# after the build cannot reuse it.
+# at most this many entries, so each tile's float64 temporaries stay small and
+# the peak of the build is the basis itself.
 _TILE_ENTRIES = 1 << 15
-# one worker per CPU this process may run on; numpy releases the GIL inside
-# the elementwise loops that fill a tile
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 # where build_codebook reads the memory it may fill: the kernel's estimate of
 # allocatable memory, and the cgroup v2 and v1 limits
 _MEMINFO = "/proc/meminfo"
@@ -255,7 +248,8 @@ def _basis_tile(cfg: ArrayConfig, angle, radii: np.ndarray,
     b *= np.sin(np.asarray(angle, dtype=float))
     scale = np.float32(1.0 / np.sqrt(n))
     # antenna n, then antenna N-1-n; arrays of half a tile each stay under
-    # malloc's mmap threshold at N = 64
+    # malloc's mmap threshold at N = 64, so each tile reuses the heap memory
+    # the one before it freed
     parts = []
     for dist in (a - b, np.add(a, b, out=a)):
         np.sqrt(dist, out=dist)
@@ -299,11 +293,11 @@ def build_codebook(
     and the sweep basis.
 
     Only bins 1..ceil(N/2) are built, into the sweep basis; the rest are their
-    mirror images (see PolarCodebook). A thread pool fills the basis in place
-    in tiles of one angle row and at most _TILE_ENTRIES entries, each with
-    _basis_tile, from float32 phases; no codeword is made. A codebook whose
-    basis is larger than the memory available is a ValueError, raised before
-    anything that grows with N * n_dis is allocated.
+    mirror images (see PolarCodebook). The basis is filled in place, in order
+    on the calling thread, in tiles of one angle row and at most _TILE_ENTRIES
+    entries, each with _basis_tile, from float32 phases; no codeword is made.
+    A codebook whose basis is larger than the memory available is a
+    ValueError, raised before anything that grows with N * n_dis is allocated.
     """
     n = cfg.n_bs
     half, pairs = (n + 1) // 2, n // 2
@@ -316,16 +310,10 @@ def build_codebook(
     sums = np.empty((half, half, n_dis), dtype=np.complex64)
     diffs = np.empty((pairs, half, n_dis), dtype=np.complex64)
     rings = max(1, _TILE_ENTRIES // n)
-
-    def fill(tile):
-        p, lo = tile
-        _basis_tile(cfg, grid.angles[p], grid.radii[p, lo : lo + rings],
-                    sums[:, p, lo : lo + rings], diffs[:, p, lo : lo + rings])
-
-    tiles = [(p, lo) for p in range(half) for lo in range(0, n_dis, rings)]
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        for _ in pool.map(fill, tiles):  # reading each result raises a tile's error
-            pass
+    for p in range(half):
+        for lo in range(0, n_dis, rings):
+            _basis_tile(cfg, grid.angles[p], grid.radii[p, lo : lo + rings],
+                        sums[:, p, lo : lo + rings], diffs[:, p, lo : lo + rings])
     return replace(grid, sums=_read_only(sums), diffs=_read_only(diffs))
 
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodewordIndex, PolarCodebook
-from .metrics import ANALOG_ONLY, HYBRID_COMPOSITE, BeamformerMatrix, channel_sum_rates
+from .metrics import (
+    ANALOG_ONLY,
+    HYBRID_COMPOSITE,
+    BeamformerMatrix,
+    channel_sum_rates,
+    conjugate_phase,
+)
 
 COND_LIMIT = 1e12
 
@@ -100,8 +106,7 @@ def analog_beam_steering(
     if mode == "perfect":
         if scenario is None:
             raise ValueError("perfect mode needs a scenario")
-        hh = scenario.channel_matrix()
-        cols = np.exp(1j * np.angle(hh)) / np.sqrt(hh.shape[0])
+        cols = conjugate_phase(scenario.channel_matrix())
     elif mode == "imperfect":
         if cb is None or indices is None:
             raise ValueError("imperfect mode needs a codebook and indices")

@@ -1,4 +1,4 @@
-"""Analytic link metrics: SINR, rates, SLNR, beam gain, and the power model."""
+"""Analytic link metrics: SINR, sum rates, beam gain, and the power model."""
 
 from __future__ import annotations
 
@@ -40,6 +40,12 @@ class BeamformerMatrix:
             raise ValueError(f"unknown beamformer kind: {self.kind!r}")
 
 
+def conjugate_phase(hh: np.ndarray) -> np.ndarray:
+    """The conjugate-phase analog beamformer of the (..., N, K) channel
+    columns hh: each entry has h's phase and modulus 1/sqrt(N)."""
+    return np.exp(1j * np.angle(hh)) / np.sqrt(hh.shape[-2])
+
+
 @dataclass(frozen=True)
 class PowerModel:
     """Component power draws (watts) for energy-efficiency accounting."""
@@ -76,19 +82,10 @@ def _sinrs(hh: np.ndarray, m: np.ndarray, p, sigma2) -> np.ndarray:
     return per_user * signal / (interference + np.asarray(sigma2)[..., None])
 
 
-def sinr(scenario, f, k: int, p: float, sigma2: float) -> float:
-    """(P/K)|h_k^H f_k|^2 / ((P/K) sum_{i != k} |h_k^H f_i|^2 + sigma2)."""
-    return float(_sinrs(scenario.channel_matrix(), _matrix_of(f), p, sigma2)[k])
-
-
-def achievable_rate(sinr_value: float) -> float:
-    """log2(1 + SINR) in bits/s/Hz."""
-    return float(np.log2(1.0 + sinr_value))
-
-
 def channel_sum_rates(hh: np.ndarray, f, p, sigma2) -> np.ndarray:
-    """channel_sum_rate of every problem of a stack: hh and f are (..., N, K),
-    p and sigma2 scalars or one value per problem."""
+    """Sum of per-user achievable rates over the channel columns hh, for
+    every problem of a stack: hh and f are (..., N, K), p and sigma2 scalars or
+    one value per problem."""
     rates = np.log2(1.0 + _sinrs(hh, _matrix_of(f), p, sigma2))
     # added in user order: numpy's pairwise sum rounds differently from K = 8 on
     total = rates[..., 0]
@@ -97,23 +94,9 @@ def channel_sum_rates(hh: np.ndarray, f, p, sigma2) -> np.ndarray:
     return total
 
 
-def channel_sum_rate(hh: np.ndarray, f, p: float, sigma2: float) -> float:
-    """Sum of per-user achievable rates over the channel columns hh."""
-    return float(channel_sum_rates(hh, f, p, sigma2))
-
-
 def sum_rate(scenario, f, p: float, sigma2: float) -> float:
     """Sum of per-user achievable rates."""
-    return channel_sum_rate(scenario.channel_matrix(), f, p, sigma2)
-
-
-def slnr(scenario, f, k: int, p: float, sigma2: float) -> float:
-    """(P/K)|h_k^H f_k|^2 / ((P/K) sum_{i != k} |h_i^H f_k|^2 + sigma2).
-
-    The leakage term measures the power user k's own beam deposits on the
-    other users' channels: it is the SINR with channel and beamformer exchanged.
-    """
-    return float(_sinrs(_matrix_of(f), scenario.channel_matrix(), p, sigma2)[k])
+    return float(channel_sum_rates(scenario.channel_matrix(), f, p, sigma2))
 
 
 def beam_gain(cfg: ArrayConfig, f_column: np.ndarray, location: PolarCoord) -> float:
@@ -138,13 +121,6 @@ def total_power(model: PowerModel, p: float, n_bs: int, n_rf: int, baseband: boo
     if baseband:
         total += model.p_bb
     return float(total)
-
-
-def energy_efficiency(sum_rate_value: float, p_total: float) -> float:
-    """Sum rate per watt."""
-    if p_total <= 0:
-        raise ValueError("total power must be positive")
-    return float(sum_rate_value / p_total)
 
 
 def noise_from_snr(p: float, k: int, snr_db: float) -> float:

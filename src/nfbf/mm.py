@@ -46,7 +46,7 @@ from .codebook import (
     approximate_channel_matrices,
     auxiliary_points,
 )
-from .metrics import ANALOG_ONLY, BeamformerMatrix
+from .metrics import ANALOG_ONLY, BeamformerMatrix, conjugate_phase
 
 MU_SPECTRAL = "spectral"
 MU_PAPER_EXACT = "paper-exact"
@@ -274,57 +274,6 @@ def _design(rows: np.ndarray, starts: np.ndarray, cfg: MMConfig,
     return BeamformerMatrix(matrix=matrix, kind=ANALOG_ONLY), report
 
 
-def _checked_stacks(stacks, k: int) -> list[np.ndarray]:
-    stacks = [np.asarray(u) for u in stacks]
-    if not 0 <= k < len(stacks):
-        raise ValueError("bad user index")
-    return stacks
-
-
-def _perfect_stacks(h_all) -> list[np.ndarray]:
-    return [np.asarray(h)[None, :] for h in h_all]
-
-
-def imperfect_objective(aux_vectors_all, f_col, k: int, omega: float) -> float:
-    """Surrogate-support objective: -sum_rs |u_k^H f|^2 + omega * leakage."""
-    stacks = _checked_stacks(aux_vectors_all, k)
-    f = np.asarray(f_col)
-    totals = np.array([np.sum(np.abs(u.conj() @ f) ** 2) for u in stacks])
-    return float(-totals[k] + omega * (np.sum(totals) - totals[k]))
-
-
-def slnr_objective(h_all, f_col, k: int, omega: float) -> float:
-    """-|h_k^H f|^2 + omega * sum_{i != k} |h_i^H f|^2."""
-    return imperfect_objective(_perfect_stacks(h_all), f_col, k, omega)
-
-
-def _single_step(stacks, f_col, k: int, cfg: MMConfig, mu_rules: dict) -> np.ndarray:
-    """One update of user k's column through a design's first K-wide product.
-
-    Every column of a one-trial batch holds f_col and column k is returned, so
-    the result is bit-equal to column k of a design's first iteration from f_col.
-    """
-    stacks = _checked_stacks(stacks, k)
-    product = _UpdateProduct(np.stack(stacks)[None], cfg.omega, mu_rules[cfg.mu_mode])
-    f = np.repeat(np.asarray(f_col, dtype=complex)[None, :, None], len(stacks), axis=2)
-    _, gf = product(f)
-    return _project(gf, f)[0, :, k]
-
-
-def mm_update_perfect(h_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
-    """One perfect-CSI MM iteration for user k's column."""
-    return _single_step(_perfect_stacks(h_all), f_col, k, cfg, _PERFECT_MU)
-
-
-def mm_update_imperfect(aux_vectors_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
-    """One imperfect-CSI MM iteration for user k's column.
-
-    aux_vectors_all holds one (R*S, N) steering stack per user, as returned by
-    approximate_channel_matrices.
-    """
-    return _single_step(aux_vectors_all, f_col, k, cfg, _IMPERFECT_MU)
-
-
 def aobf_perfect_csi(scenarios, cfg: MMConfig | None = None) -> tuple[BeamformerMatrix, MMReport]:
     """Design all K analog columns of one trial, or of a batch of trials, from exact channels.
 
@@ -337,8 +286,7 @@ def aobf_perfect_csi(scenarios, cfg: MMConfig | None = None) -> tuple[Beamformer
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
     hh = np.stack([sc.channel_matrix() for sc in scenarios])
-    starts = np.exp(1j * np.angle(hh)) / np.sqrt(hh.shape[1])
-    return _design(hh.mT[:, :, None, :], starts, cfg or MMConfig(), _PERFECT_MU)
+    return _design(hh.mT[:, :, None, :], conjugate_phase(hh), cfg or MMConfig(), _PERFECT_MU)
 
 
 def aobf_imperfect_csi(

@@ -14,7 +14,8 @@ from nfbf.channel import random_scenario
 from nfbf.codebook import CodewordIndex, beam_sweep, build_codebook
 from nfbf.geometry import ArrayConfig, PolarCoord, element_distances, polar_to_cartesian
 from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
-from nfbf.mm import MMConfig, aobf_perfect_csi, mm_update_perfect
+from nfbf.mm import MMConfig, aobf_perfect_csi
+from oracles import mm_update_perfect
 from nfbf.selftest import run_selftest
 
 _CACHE = {}

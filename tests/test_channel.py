@@ -5,7 +5,6 @@ from nfbf.channel import (
     PathComponent,
     make_user_channel,
     random_scenario,
-    received_signal,
     scenario_from_json,
     scenario_to_json,
     synthesize_channel,
@@ -122,45 +121,6 @@ def test_expected_channel_power():
     mean = total / count
     want = 64 / 3 * 1.02  # 21.76
     assert abs(mean - want) / want < 0.05
-
-
-def test_received_signal_zero_input():
-    cfg = ArrayConfig(n_bs=4)
-    sc = random_scenario(cfg, 2, 1, seed=1)
-    f = np.ones((4, 2), dtype=complex) / 2
-    y = received_signal(sc.users[0].vector, f, np.zeros(2), 1.0, 0.1, 0.0)
-    assert y == 0.0
-
-
-def test_received_signal_single_user_definition():
-    cfg = ArrayConfig(n_bs=8)
-    loc = PolarCoord(0.3, 9.0)
-    h = synthesize_channel(cfg, [PathComponent(1.0 + 0j, loc)])
-    f = (np.exp(1j * np.angle(h)) / np.sqrt(8)).reshape(8, 1)
-    y = received_signal(h, f, np.array([1.0 + 0j]), 2.0, 0.5, 0.0)
-    assert abs(np.abs(y) ** 2 - 2.0 * np.abs(h.conj() @ f[:, 0]) ** 2) < 1e-12
-
-
-def test_received_signal_random_oracle():
-    rng = np.random.default_rng(5)
-    cfg = ArrayConfig(n_bs=8)
-    sc = random_scenario(cfg, 3, 2, seed=9)
-    h = sc.users[1].vector
-    f = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    noise = complex(rng.standard_normal(), rng.standard_normal())
-    p, sigma2 = 1.7, 0.3
-    got = received_signal(h, f, x, p, sigma2, noise)
-    want = np.sqrt(p) * sum(h[n].conjugate() * sum(f[n, i] * x[i] for i in range(3)) for n in range(8))
-    want += np.sqrt(sigma2) * noise
-    assert abs(got - want) < 1e-12
-
-
-def test_received_signal_dimension_error():
-    cfg = ArrayConfig(n_bs=4)
-    sc = random_scenario(cfg, 2, 1, seed=3)
-    with pytest.raises(ValueError):
-        received_signal(sc.users[0].vector, np.ones((4, 2)), np.zeros(3), 1.0, 0.1, 0.0)
 
 
 def test_scenario_json_roundtrip():

@@ -146,15 +146,13 @@ def test_codewords_at_equals_per_index_codewords():
     # 1100 entries hold 22 rings at N = 48: 15 tiles a row, the last of 12 rings
     (48, 1100, 48 * 15),
 ])
-@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_blocked_build_equals_one_whole_grid_steering_call(
-    workers, n, tile_entries, grid_tiles, wavelength, monkeypatch
+    n, tile_entries, grid_tiles, wavelength, monkeypatch
 ):
     # grid_tiles is the tile count of the whole grid; only stored bins are built
     cfg = ArrayConfig(n_bs=n, wavelength=wavelength)
     shapes = []
     real = nfbf.codebook._basis_tile
-    monkeypatch.setattr(nfbf.codebook, "_WORKERS", workers)
     monkeypatch.setattr(nfbf.codebook, "_TILE_ENTRIES", tile_entries)
     monkeypatch.setattr(nfbf.codebook, "_basis_tile",
                         lambda cfg, angle, radii, sums, diffs: shapes.append(np.shape(radii))
@@ -217,11 +215,14 @@ def test_codebook_is_read_only():
     assert beam_sweep(cb, h) == CodewordIndex(12, 2)
 
 
-def test_build_leaves_no_worker_thread_running(monkeypatch):
-    monkeypatch.setattr(nfbf.codebook, "_WORKERS", 3)
-    before = threading.active_count()
+def test_every_tile_runs_on_the_calling_thread(monkeypatch):
+    threads = []
+    real = nfbf.codebook._basis_tile
+    monkeypatch.setattr(nfbf.codebook, "_basis_tile",
+                        lambda *args: threads.append(threading.get_ident()) or real(*args))
     build_codebook(ArrayConfig(n_bs=16))
-    assert threading.active_count() == before
+    # one tile for each of the 8 stored bins' rows of 320 rings
+    assert threads == [threading.get_ident()] * 8
 
 
 def test_an_error_in_one_tile_propagates(monkeypatch):
@@ -237,7 +238,6 @@ def test_an_error_in_one_tile_propagates(monkeypatch):
             raise TileError
         real(cfg, angle, radii, sums, diffs)
 
-    monkeypatch.setattr(nfbf.codebook, "_WORKERS", 2)
     monkeypatch.setattr(nfbf.codebook, "_basis_tile", tile)
     with pytest.raises(TileError):
         build_codebook(cfg)

@@ -20,7 +20,7 @@ from nfbf.metrics import (
     ANALOG_ONLY,
     HYBRID_COMPOSITE,
     BeamformerMatrix,
-    channel_sum_rate,
+    channel_sum_rates,
     noise_from_snr,
     sum_rate,
 )
@@ -353,7 +353,7 @@ def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
     pw = np.real(np.einsum("ik,ij,jk->k", v.conj(), b, v))
     pw[pw == 0] = 1.0
     v = v / np.sqrt(pw)
-    trace = [channel_sum_rate(eff.matrix, v, p, sigma2)]
+    trace = [float(channel_sum_rates(eff.matrix, v, p, sigma2))]
     converged = False
     it = 0
     for it in range(1, iters + 1):
@@ -367,7 +367,7 @@ def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
         v = np.linalg.lstsq(a_mat, c, rcond=None)[0]
         if np.real(np.einsum("ik,ij,jk->", v.conj(), b, v)) > kk:
             v = power_limited(a_mat, c)
-        trace.append(channel_sum_rate(eff.matrix, v, p, sigma2))
+        trace.append(float(channel_sum_rates(eff.matrix, v, p, sigma2)))
         if _stopping_rule(trace, tol):
             converged = True
             break

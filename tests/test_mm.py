@@ -24,11 +24,8 @@ from nfbf.mm import (
     _top_gram_eigenvalue,
     aobf_imperfect_csi,
     aobf_perfect_csi,
-    imperfect_objective,
-    mm_update_imperfect,
-    mm_update_perfect,
-    slnr_objective,
 )
+from oracles import imperfect_objective, mm_update_imperfect, mm_update_perfect, slnr_objective
 
 
 def _random_channels(rng, n, k):
