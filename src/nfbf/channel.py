@@ -70,26 +70,20 @@ def synthesize_channel(cfg: ArrayConfig, paths: list[PathComponent]) -> np.ndarr
     return np.sqrt(cfg.n_bs / len(paths)) * h
 
 
-def random_scenario(
-    cfg: ArrayConfig,
-    k: int,
-    l: int,
-    seed: int,
-    rho_min: float | None = None,
-) -> Scenario:
+def random_scenario(cfg: ArrayConfig, k: int, l: int, seed: int) -> Scenario:
     """Draw a K-user, L-path scenario.
 
     Angles are i.i.d. uniform on [-pi/2, pi/2); distances i.i.d. uniform on
-    [rho_min, rayleigh_distance]; path-0 gains CN(0,1), scatterer gains
-    CN(0, 0.01). Deterministic under a fixed seed.
+    [rho_min, rayleigh_distance] with rho_min = DEFAULT_RHO_MIN_WAVELENGTHS
+    wavelengths; path-0 gains CN(0,1), scatterer gains CN(0, 0.01).
+    Deterministic under a fixed seed.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    if rho_min is None:
-        rho_min = DEFAULT_RHO_MIN_WAVELENGTHS * cfg.wavelength
+    rho_min = DEFAULT_RHO_MIN_WAVELENGTHS * cfg.wavelength
     d_r = rayleigh_distance(cfg)
     if rho_min >= d_r:
-        raise ValueError("rho_min must be below the Rayleigh distance")
+        raise ValueError(f"the minimum distance {rho_min:g} must be below the Rayleigh distance")
     rng = np.random.default_rng(seed)
     users = []
     for _ in range(k):

@@ -91,27 +91,25 @@ def element_distance(cfg: ArrayConfig, p: PolarCoord, n: int) -> float:
     return float(element_distances(cfg, p.angle, p.radius)[n - 1])
 
 
-def steering_matrix(cfg: ArrayConfig, angles, radii, out: np.ndarray | None = None) -> np.ndarray:
+def steering_matrix(cfg: ArrayConfig, angles, radii) -> np.ndarray:
     """Spherical-wave steering vectors for sources at (angles, radii).
 
     Codewords, auxiliary stacks and beam patterns all come from this formula.
     angles and radii broadcast; entry [..., n-1] of the broadcast shape + (N,)
     result is (1/sqrt(N)) exp(-j 2 pi dist_n / wavelength): unit norm, constant
-    entry modulus 1/sqrt(N). Given out, a complex array of that shape, the
-    cosine and sine are written into its real and imaginary parts and out is
-    returned; the bits are the same as without it.
+    entry modulus 1/sqrt(N).
 
     The entry is computed as cos(theta) s + j sin(theta) s with theta =
-    (-2 pi dist_n) (1/wavelength) and s = 1/sqrt(N), which are the bits of the
-    complex formula np.exp(-2j * np.pi * dist / wavelength) / np.sqrt(N): its
-    complex multiply leaves a zero real part, its division by a real scalar
-    multiplies by the reciprocal, and exp of 0 + j theta is (cos, sin).
+    (-2 pi dist_n) (1/wavelength) and s = 1/sqrt(N), written into the real and
+    imaginary parts of the result. These are the bits of the complex formula
+    np.exp(-2j * np.pi * dist / wavelength) / np.sqrt(N): its complex multiply
+    leaves a zero real part, its division by a real scalar multiplies by the
+    reciprocal, and exp of 0 + j theta is (cos, sin).
     """
     theta = element_distances(cfg, angles, radii)
     theta *= -2.0 * np.pi
     theta *= 1.0 / cfg.wavelength
-    if out is None:
-        out = np.empty(theta.shape, dtype=complex)
+    out = np.empty(theta.shape, dtype=complex)
     scale = 1.0 / np.sqrt(cfg.n_bs)
     np.multiply(np.cos(theta, out=out.real), scale, out=out.real)
     np.multiply(np.sin(theta, out=out.imag), scale, out=out.imag)

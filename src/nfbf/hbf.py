@@ -168,13 +168,16 @@ def hbf_zf(f_ab, eff: EffectiveChannel) -> HybridBeamformer:
 
 
 _NEWTON_CAP = 100
+_WMMSE_ITERS = 100
+_WMMSE_TOL = 1e-6
 
 
 def _power_limited_precoder(
     a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """pinv(A + mu B) C at the multiplier mu > 0 where tr(V^H B V) meets budget,
-    for each problem of (P, K, K) stacks; also each problem's Newton step count.
+    """pinv(A + mu B) C at the least multiplier mu >= 0 where tr(V^H B V) meets
+    budget, for each problem of (P, K, K) stacks; also each problem's Newton
+    step count.
 
     For mu > 0 every A + mu B has the range of A + B, so whitening by A + B on
     that range, W = V diag(s)^(-1/2) with the columns of eigenvalues below the
@@ -182,7 +185,10 @@ def _power_limited_precoder(
     pinv(A + mu B) = W Q diag(1/(1 + (mu-1) gamma)) Q^H W^H. With y = Q^H W^H C,
     the power on the live directions (gamma_i > 0 and a_i > 0) is the secular
     function sum_i a_i / (mu + c_i)^2, with a_i = |y_i|^2 / gamma_i and
-    c_i = (1 - gamma_i) / gamma_i clamped at 0. Newton on
+    c_i = (1 - gamma_i) / gamma_i clamped at 0. Where the budget holds at
+    mu = 0, V is the limit as mu -> 0, the least-power solution of A V = C
+    (pinv(A) C for a nonsingular A), with 0 on the null directions of A
+    (1 - gamma_i within the cut), where y_i is roundoff of C. Elsewhere Newton on
     power^(-1/2) - budget^(-1/2), which is concave and increasing in mu (Moré &
     Sorensen, SIAM J. Sci. Stat. Comput. 1983), rises monotonically to the root
     from mu0 = max(0, max_i sqrt(a_i / budget) - c_i), where one term alone
@@ -191,7 +197,8 @@ def _power_limited_precoder(
     _NEWTON_CAP steps bound the loop.
     """
     s, vecs = np.linalg.eigh(a_mat + b)
-    keep = s > s[:, -1:] * s.shape[-1] * np.finfo(s.dtype).eps
+    cut = s.shape[-1] * np.finfo(s.dtype).eps
+    keep = s > s[:, -1:] * cut
     w = np.where(keep[:, None, :], vecs / np.sqrt(np.where(keep, s, 1.0))[:, None, :], 0.0)
     gamma, q = np.linalg.eigh(w.conj().mT @ b @ w)
     wq = w @ q
@@ -203,9 +210,12 @@ def _power_limited_precoder(
     a = np.where(live, y2 / g, 0.0)
     c_mu = np.where(live, np.maximum((1.0 - g) / g, 0.0), 1.0)
 
+    null = gamma >= 1.0 - cut  # a null direction of A, up to roundoff
+    d = 1.0 / np.where(null, np.inf, c_mu)
+    free = np.add.reduce(a * d * d, axis=-1) <= budget
     mu = np.maximum(np.max(np.sqrt(a / budget) - c_mu, axis=-1), 0.0)
     steps = np.zeros(len(mu), dtype=int)
-    active = np.ones(len(mu), dtype=bool)
+    active = ~free
     for _ in range(_NEWTON_CAP):
         d = 1.0 / (mu[:, None] + c_mu)
         terms = a * d * d
@@ -217,7 +227,10 @@ def _power_limited_precoder(
             break
         mu = np.where(active, mu + step, mu)
         steps += active
-    return wq @ (y / (1.0 + (mu[:, None] - 1.0) * gamma)[..., None]), steps
+    mu[free] = 0.0
+    scale = 1.0 + (mu[:, None] - 1.0) * gamma
+    scale[null & free[:, None]] = np.inf
+    return wq @ (y / scale[..., None]), steps
 
 
 def _precoder_power(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,14 +238,7 @@ def _precoder_power(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.real(np.sum(v.conj() * (b @ v), axis=-2))
 
 
-def hbf_wmmse(
-    f_ab,
-    eff,
-    p,
-    sigma2,
-    iters: int = 100,
-    tol: float = 1e-6,
-) -> tuple[HybridBeamformer, WMMSEReport | WMMSEBatchReport]:
+def hbf_wmmse(f_ab, eff, p, sigma2) -> tuple[HybridBeamformer, WMMSEReport | WMMSEBatchReport]:
     """Weighted-MMSE digital stage on the effective channel, for one problem or a batch.
 
     One problem is an analog stage f_ab with its EffectiveChannel eff and
@@ -246,15 +252,16 @@ def hbf_wmmse(
     are computed one by one, and a converged problem leaves the batch.
 
     Alternates per-user scalar receivers, MSE weights, and a digital precoder
-    solved from the weighted normal equations by a Hermitian pseudoinverse.
-    When that solution exceeds the composite power budget
-    sum_k ||F_AB d_k||^2 <= K, the precoder takes the Lagrange multiplier that
-    meets the budget, found by Newton on the scalar secular power function
-    (`_power_limited_precoder`). Iterates until the relative sum-rate change
-    drops below tol or iters is reached. A final per-column renormalization
-    enforces unit composite column norms, also for a user that WMMSE switched
-    off: its decayed column keeps its direction, or, once it has decayed below
-    the normal floats, is replaced by the user's analog column.
+    solved from the weighted normal equations A V = C under the composite power
+    budget sum_k ||F_AB d_k||^2 <= K: every step takes V = pinv(A + mu B) C at
+    the least Lagrange multiplier mu >= 0 that meets the budget, found by Newton
+    on the scalar secular power function (`_power_limited_precoder`); mu = 0,
+    the unconstrained solution, where that already meets it. Iterates until the
+    relative sum-rate change drops below _WMMSE_TOL (1e-6) or _WMMSE_ITERS
+    (100) steps are taken. A final per-column renormalization enforces unit
+    composite column norms, also for a user that WMMSE switched off: its
+    decayed column keeps its direction, or, once it has decayed below the
+    normal floats, is replaced by the user's analog column.
     """
     single = isinstance(eff, EffectiveChannel)
     if single:
@@ -278,11 +285,11 @@ def hbf_wmmse(
 
     last = channel_sum_rates(h, v, p, sigma2)
     traces = [[r] for r in last.tolist()]
-    used = np.full(n_prob, iters)
+    used = np.full(n_prob, _WMMSE_ITERS)
     converged = np.zeros(n_prob, dtype=bool)
     done_v = v.copy()
     ids = np.arange(n_prob)  # the problems still iterating
-    for it in range(1, iters + 1):
+    for it in range(1, _WMMSE_ITERS + 1):
         t = g.conj().mT @ v  # t[k, i] = g_k^H v_i
         q = np.sum(np.abs(t) ** 2, axis=-1) + sigma2[ids, None]
         tkk = np.diagonal(t, axis1=-2, axis2=-1)
@@ -294,15 +301,12 @@ def hbf_wmmse(
         a_mat = (g * wu2[:, None, :]) @ g.conj().mT
         c = g * (w * u.conj())[:, None, :]
 
-        v = np.linalg.pinv(a_mat, hermitian=True) @ c
-        hot = _precoder_power(v, b).sum(axis=-1) > kk
-        if hot.any():
-            v[hot], _ = _power_limited_precoder(a_mat[hot], b[hot], c[hot], kk)
+        v, _ = _power_limited_precoder(a_mat, b, c, kk)
         rate = channel_sum_rates(h[ids], v, p[ids], sigma2[ids])
         for i, r in zip(ids.tolist(), rate.tolist()):
             traces[i].append(r)
         prev, last[ids] = last[ids], rate
-        stop = np.abs(rate - prev) <= tol * np.maximum(1.0, np.abs(prev))
+        stop = np.abs(rate - prev) <= _WMMSE_TOL * np.maximum(1.0, np.abs(prev))
         if stop.any():
             done_v[ids[stop]] = v[stop]
             used[ids[stop]] = it

@@ -237,8 +237,9 @@ def _check_mm_product_forms(rng) -> str:
 
 
 def _check_hbf_invariants(rng) -> str:
-    # the 5 seeds' WMMSE problems run as one batch; every power-limited step
-    # must meet its budget, and each seed's composite, count, flag and trace
+    # the 5 seeds' WMMSE problems run as one batch; every step must go through
+    # the power-limited precoder and meet the budget where the unconstrained
+    # solution exceeds it, and each seed's composite, count, flag and trace
     # must equal that seed solved alone, bit for bit
     cfg = ArrayConfig(n_bs=16)
     scens = [random_scenario(cfg, 3, 2, seed=seed) for seed in range(5)]
@@ -248,7 +249,9 @@ def _check_hbf_invariants(rng) -> str:
 
     def record(a_mat, b, c, budget):
         v, steps = solve(a_mat, b, c, budget)
-        limited.append((hbf._precoder_power(v, b).sum(axis=-1), budget))
+        free = np.linalg.pinv(a_mat, hermitian=True) @ c
+        limited.append((hbf._precoder_power(v, b).sum(axis=-1),
+                        hbf._precoder_power(free, b).sum(axis=-1), budget))
         return v, steps
 
     hbf._power_limited_precoder = record
@@ -256,12 +259,12 @@ def _check_hbf_invariants(rng) -> str:
         batch, batch_rep = hbf_wmmse(analog, effs, 1.0, 0.1)
     finally:
         hbf._power_limited_precoder = solve
-    if not limited:
-        return "no WMMSE step took the power-limited precoder"
-    for power, budget in limited:
-        miss = np.max(np.abs(power - budget)) / budget
-        if miss > 1e-12:
-            return f"power-limited WMMSE step missed its budget by {miss:.1e} relative"
+    if len(limited) != max(r.iterations_used for r in batch_rep.reports):
+        return "a WMMSE step did not go through the power-limited precoder"
+    for power, free_power, budget in limited:
+        miss = np.max(np.where(free_power > budget, np.abs(power - budget), power - budget))
+        if miss > 1e-12 * budget:
+            return f"WMMSE step missed its budget by {miss / budget:.1e} relative"
     batch.composite.validate(MODULUS_TOL)
     for seed, (scen, f_ab, eff, one, one_rep) in enumerate(
             zip(scens, analog, effs, batch.split(), batch_rep.reports)):

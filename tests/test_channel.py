@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nfbf.channel import (
+    DEFAULT_RHO_MIN_WAVELENGTHS,
     PathComponent,
     make_user_channel,
     random_scenario,
@@ -106,6 +107,15 @@ def test_random_scenario_count_errors():
         random_scenario(cfg, 0, 3, seed=0)
     with pytest.raises(ValueError):
         random_scenario(cfg, 2, 0, seed=0)
+
+
+def test_random_scenario_needs_the_minimum_distance_below_the_rayleigh_distance():
+    # at N = 2 the Rayleigh distance is 2 wavelengths, inside the 3-wavelength floor
+    cfg = ArrayConfig(n_bs=2)
+    assert rayleigh_distance(cfg) < DEFAULT_RHO_MIN_WAVELENGTHS * cfg.wavelength
+    with pytest.raises(ValueError, match="below the Rayleigh distance"):
+        random_scenario(cfg, 1, 1, seed=0)
+    random_scenario(ArrayConfig(n_bs=3), 1, 1, seed=0)  # 4.5 wavelengths clears it
 
 
 def test_expected_channel_power():

@@ -513,6 +513,86 @@ def test_power_limited_step_matches_the_bisection_oracle(cb64, monkeypatch):
             assert alone_steps[0] == steps[i]
 
 
+def _mixed_budget_stack(budget=2.0):
+    """(A, B, C, budget) stacks of K = 2 problems: random ones scaled so that
+    the least-power solution of A V = C uses a quarter of the budget or four
+    times it, a third of them with a rank-one A whose range holds C, and
+    A = diag(2, 0), B = I, C = diag(0.1, 0), whose null direction of A divides
+    0 by 0 at mu = 0."""
+    rng = np.random.default_rng(5)
+    a_mats, bs, cs = [], [], []
+    for i in range(12):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        f = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        if i % 3 == 2:
+            g[:, 1] = 0.0
+        a_mat, b, c = g @ g.conj().T, f.conj().T @ f, g * (1.0 + rng.uniform(size=2))
+        power = _stack_power(_least_power_solution(a_mat[None], b[None], c[None]), b[None])
+        c *= np.sqrt((0.25 if i % 2 else 4.0) * budget / power[0])
+        a_mats.append(a_mat), bs.append(b), cs.append(c)
+    a_mats.append(np.diag([2.0, 0.0]).astype(complex))
+    bs.append(np.eye(2, dtype=complex))
+    cs.append(np.diag([0.1, 0.0]).astype(complex))
+    return np.stack(a_mats), np.stack(bs), np.stack(cs), budget
+
+
+def _stack_power(v, b):
+    """tr(V^H B V) of each problem of (P, K, K) stacks."""
+    return np.real(np.einsum("pik,pij,pjk->p", v.conj(), b, v))
+
+
+def _least_power_solution(a_mat, b, c):
+    """The solution of A V = C with the least power tr(V^H B V), the limit of
+    pinv(A + mu B) C as mu -> 0, for C in the range of A: pinv(A) C moved along
+    the null space Z of A by -Z (Z^H B Z)^(-1) Z^H B pinv(A) C."""
+    v = np.linalg.pinv(a_mat, hermitian=True) @ c
+    for i, (s, vecs) in enumerate(zip(*np.linalg.eigh(a_mat))):
+        z = vecs[:, s <= 1e-12 * s[-1]]
+        zb = z.conj().T @ b[i]
+        v[i] -= z @ np.linalg.solve(zb @ z, zb @ v[i])
+    return v
+
+
+def test_power_limited_step_keeps_the_unconstrained_solution_where_it_meets_the_budget():
+    # problems over the budget, within it, and with a singular A, in one stack;
+    # within the budget the step keeps mu = 0: pinv(A) C where A is nonsingular
+    # or B = I, and otherwise the least-power solution of A V = C
+    a_mat, b, c, budget = _mixed_budget_stack()
+    v, steps = hbf._power_limited_precoder(a_mat, b, c, budget)
+    assert np.all(np.isfinite(v))
+    power = _stack_power(v, b)
+    assert np.all(power <= budget * (1.0 + 1e-12))
+    want = _least_power_solution(a_mat, b, c)
+    free = _stack_power(want, b) <= budget
+    assert free.sum() == 7 and np.all(steps[free] == 0)
+    assert np.all(np.abs(power[~free] - budget) <= 1e-12 * budget)
+    error = np.max(np.abs(v - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(error[free] <= 1e-12)  # diag(0.05, 0) for A = diag(2, 0) among them
+    for i in range(len(v)):
+        alone, alone_steps = hbf._power_limited_precoder(
+            a_mat[i : i + 1], b[i : i + 1], c[i : i + 1], budget)
+        assert np.array_equal(alone[0], v[i])
+        assert alone_steps[0] == steps[i]
+
+
+@pytest.mark.parametrize("snr_db", [100.0, 150.0, 200.0])
+def test_wmmse_at_high_snr_where_steps_meet_the_budget_unconstrained(cb64, snr_db):
+    # from 100 dB up, some steps keep mu = 0. Where two users sweep to one
+    # codeword, B is singular and the near-noiseless estimate makes A nearly
+    # so; such a drop's trace can fall whichever way its steps are solved
+    # (seed 5's imperfect regime does), so only its composite is checked
+    drops = list(_regime_drops(cb64, range(10), [snr_db]))
+    distinct = 0
+    for drop, (hb, rep) in zip(drops, _solve_batch(drops), strict=True):
+        assert np.all(np.isfinite(hb.composite.matrix))
+        hb.composite.validate(atol=1e-9)
+        f_ab = drop[1].matrix
+        if np.linalg.matrix_rank(f_ab.conj().T @ f_ab) == f_ab.shape[1]:
+            distinct += 1
+            assert np.all(np.diff(rep.sumrate_trace) >= -1e-9)
+    assert distinct == len(drops) - 1
+
+
 def _switched_off_drop():
     # user 1 of this harness drop (perfect CSI, 0 dB) is switched off: its
     # precoder column decays to ~1e-173, whose squares underflow to zero
@@ -532,7 +612,7 @@ def test_each_problem_of_a_mixed_batch_equals_itself_solved_alone(cb64):
     # switched-off user, interleaved in one batch: each problem's composite,
     # count, flag and trace are bit-identical to that problem solved alone.
     # At 200 dB some unconstrained steps meet the budget, so the batch mixes
-    # problems that take the power-limited step with problems that do not.
+    # problems whose step keeps mu = 0 with problems whose step raises it.
     drops = [*_regime_drops(cb64, range(3), [-10.0, 0.0, 10.0, 20.0, 30.0]),
              *_regime_drops(cb64, range(2), [200.0]),
              *_duplicate_codeword_drops(cb64, sigma_e2=0.1, seeds=range(2)),
