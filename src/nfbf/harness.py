@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import (
     DEFAULT_RHO_MIN_WAVELENGTHS,
+    SCATTER_GAIN_VAR,
     PathComponent,
     Scenario,
     make_user_channel,
@@ -450,7 +451,8 @@ def pattern_scenario(spec: ExperimentSpec) -> Scenario:
             for _ in range(2):
                 ang = rng.uniform(-np.pi / 2, np.pi / 2)
                 rad = rng.uniform(DEFAULT_RHO_MIN_WAVELENGTHS * lam, d_r)
-                gs = 0.1 * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+                gs = (np.sqrt(SCATTER_GAIN_VAR)
+                      * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2))
                 paths.append(PathComponent(complex(gs), PolarCoord(float(ang), float(rad))))
             users.append(make_user_channel(cfg, paths))
     return Scenario(users=users, array=cfg, seed=spec.base_seed)

@@ -28,13 +28,6 @@ class SingularEffectiveChannelError(ValueError):
 
 
 @dataclass
-class EffectiveChannel:
-    """K x K matrix whose column k is F_AB^H h_k."""
-
-    matrix: np.ndarray
-
-
-@dataclass
 class HybridBeamformer:
     """Analog stage, digital stage, and their composite.
 
@@ -121,15 +114,15 @@ def effective_channel(
     scenario,
     sigma_e2: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> EffectiveChannel:
-    """Channel through the analog stage: column k = F_AB^H h_k.
+) -> np.ndarray:
+    """Channel through the analog stage: the K x K matrix whose column k is F_AB^H h_k.
 
     Computed noiselessly by default (pilot estimation is abstracted). With
     sigma_e2 > 0 each entry gets an additive CN(0, sigma_e2) estimation error;
     the underlying standard draw does not depend on sigma_e2, so a fixed rng
     seed reuses one error realization across noise levels.
     """
-    a = np.asarray(getattr(f_ab, "matrix", f_ab))
+    a = f_ab.matrix
     hh = scenario.channel_matrix()
     if a.shape[0] != hh.shape[0]:
         raise ValueError("dimension mismatch")
@@ -139,7 +132,7 @@ def effective_channel(
             raise ValueError("estimation noise needs an rng")
         g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
         m = m + np.sqrt(sigma_e2 / 2.0) * g
-    return EffectiveChannel(matrix=m)
+    return m
 
 
 def _composite(analog: np.ndarray, digital: np.ndarray) -> HybridBeamformer:
@@ -151,17 +144,16 @@ def _composite(analog: np.ndarray, digital: np.ndarray) -> HybridBeamformer:
     )
 
 
-def hbf_zf(f_ab, eff: EffectiveChannel) -> HybridBeamformer:
+def hbf_zf(f_ab: BeamformerMatrix, eff: np.ndarray) -> HybridBeamformer:
     """Zero-forcing digital stage on the effective channel.
 
     Column k of the digital matrix satisfies eff_i^H d_k = 0 for i != k, then
     is scaled so the composite column has unit norm.
     """
-    a = np.asarray(getattr(f_ab, "matrix", f_ab))
-    m = eff.matrix
-    if np.linalg.cond(m) > COND_LIMIT:
+    a = f_ab.matrix
+    if np.linalg.cond(eff) > COND_LIMIT:
         raise SingularEffectiveChannelError("effective channel condition number > 1e12")
-    d = np.linalg.inv(m.conj().T)
+    d = np.linalg.inv(eff.conj().T)
     norms = np.linalg.norm(a @ d, axis=0)
     d = d / norms
     return _composite(a, d)
@@ -238,18 +230,17 @@ def _precoder_power(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.real(np.sum(v.conj() * (b @ v), axis=-2))
 
 
-def hbf_wmmse(f_ab, eff, p, sigma2) -> tuple[HybridBeamformer, WMMSEReport | WMMSEBatchReport]:
-    """Weighted-MMSE digital stage on the effective channel, for one problem or a batch.
+def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSEBatchReport]:
+    """Weighted-MMSE digital stage on the effective channel, for a batch of problems.
 
-    One problem is an analog stage f_ab with its EffectiveChannel eff and
-    returns (HybridBeamformer, WMMSEReport). A batch is a list of B analog
-    stages of equal (N, K) with a list of B effective channels; p and sigma2
-    are then scalars or one value per problem. It returns one HybridBeamformer
-    of (N, B K) analog and composite matrices, problem-major, with a (B, K, K)
-    digital stack, and a WMMSEBatchReport. Each problem of a batch is
-    bit-identical, in its composite, count, flag and trace, to that problem
-    solved alone: every step is a stacked product or decomposition whose items
-    are computed one by one, and a converged problem leaves the batch.
+    f_ab is a list of B analog stages of equal (N, K), eff the list of their
+    B (K, K) effective channels, and p and sigma2 are scalars or one value per
+    problem. It returns one HybridBeamformer of (N, B K) analog and composite
+    matrices, problem-major, with a (B, K, K) digital stack, and a
+    WMMSEBatchReport. Each problem of a batch is bit-identical, in its
+    composite, count, flag and trace, to that problem solved as a batch of
+    one: every step is a stacked product or decomposition whose items are
+    computed one by one, and a converged problem leaves the batch.
 
     Alternates per-user scalar receivers, MSE weights, and a digital precoder
     solved from the weighted normal equations A V = C under the composite power
@@ -263,11 +254,8 @@ def hbf_wmmse(f_ab, eff, p, sigma2) -> tuple[HybridBeamformer, WMMSEReport | WMM
     decayed column keeps its direction, or, once it has decayed below the
     normal floats, is replaced by the user's analog column.
     """
-    single = isinstance(eff, EffectiveChannel)
-    if single:
-        f_ab, eff = [f_ab], [eff]
-    a = np.stack([np.asarray(getattr(f, "matrix", f)) for f in f_ab])
-    h = np.stack([e.matrix for e in eff])
+    a = np.stack([f.matrix for f in f_ab])
+    h = np.stack(eff)
     n_prob, kk = h.shape[0], h.shape[-1]
     if a.shape[0] != n_prob:
         raise ValueError("one analog stage per effective channel")
@@ -331,9 +319,6 @@ def hbf_wmmse(f_ab, eff, p, sigma2) -> tuple[HybridBeamformer, WMMSEReport | WMM
     comp = a @ v
     reports = [WMMSEReport(iterations_used=int(n), converged=bool(c), sumrate_trace=np.array(tr))
                for n, c, tr in zip(used, converged, traces)]
-    if single:
-        hybrid = HybridBeamformer(a[0], v[0], BeamformerMatrix(comp[0], HYBRID_COMPOSITE))
-        return hybrid, reports[0]
     hybrid = HybridBeamformer(
         analog=_problem_major(a),
         digital=v,

@@ -25,16 +25,16 @@ class BeamformerMatrix:
     kind: str
 
     def validate(self, atol: float = 1e-9) -> None:
-        """Raise ValueError if the kind-specific invariant is violated."""
+        """Raise ValueError if the kind-specific invariant is violated or any entry is NaN."""
         if self.kind == ANALOG_ONLY:
             want = 1.0 / np.sqrt(self.matrix.shape[0])
             err = np.max(np.abs(np.abs(self.matrix) - want))
-            if err > atol:
+            if not err <= atol:  # NaN fails too
                 raise ValueError(f"constant-modulus violation: {err:.3e}")
         elif self.kind == HYBRID_COMPOSITE:
             norms = np.linalg.norm(self.matrix, axis=0)
             err = np.max(np.abs(norms - 1.0))
-            if err > atol:
+            if not err <= atol:
                 raise ValueError(f"unit-column-norm violation: {err:.3e}")
         else:
             raise ValueError(f"unknown beamformer kind: {self.kind!r}")

@@ -48,28 +48,15 @@ from .codebook import (
 )
 from .metrics import ANALOG_ONLY, BeamformerMatrix, conjugate_phase
 
-MU_SPECTRAL = "spectral"
-MU_PAPER_EXACT = "paper-exact"
-_MU_MODES = (MU_SPECTRAL, MU_PAPER_EXACT)
-
 
 @dataclass(frozen=True)
 class MMConfig:
-    """MM loop parameters.
-
-    mu_mode selects the additive constant that certifies the interference
-    surrogate. "spectral" (the default in both regimes) uses sum_i ||h_i||^2
-    for perfect CSI and the top eigenvalue of the interference matrix for
-    imperfect CSI; both are certified majorizers, so the objective descends.
-    "paper-exact" uses (K-1) max_i ||h_i||^2 for perfect CSI and the literal
-    1/N per auxiliary point for imperfect CSI (not a certified majorizer
-    there; descent may fail).
-    """
+    """MM loop parameters: the leakage weight omega, the squared-step stop
+    epsilon and the iteration cap t_max."""
 
     omega: float = 1000.0
     epsilon: float = 1e-9
     t_max: int = 1000
-    mu_mode: str = MU_SPECTRAL
 
     def __post_init__(self):
         if self.omega < 0:
@@ -78,8 +65,6 @@ class MMConfig:
             raise ValueError("epsilon must be positive")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.mu_mode not in _MU_MODES:
-            raise ValueError(f"unknown mu_mode: {self.mu_mode!r}")
 
 
 @dataclass
@@ -92,7 +77,8 @@ class MMReport:
     one value per iteration of column c, so its length is
     iterations_used[c] + 1. The columns iterate as one batch, and a converged
     column is masked, so none of these fields depends on the other columns'
-    iteration counts. With spectral mu the trace is nonincreasing.
+    iteration counts. Each regime's mu certifies its surrogate, so the trace
+    is nonincreasing.
     """
 
     iterations_used: list[int] = field(default_factory=list)
@@ -117,18 +103,16 @@ def _top_gram_eigenvalue(rows: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram)[..., -1]
 
 
-# mu rules: the (T, K-1, R, N) rows of the other users -> (T,) mu; the
-# spectral perfect-CSI sum adds the users' powers one by one, in order
-_PERFECT_MU = {
-    MU_SPECTRAL: lambda others: sum(_row_powers(others).T),
-    MU_PAPER_EXACT: lambda others: _row_powers(others).max(axis=1) * others.shape[1],
-}
-_IMPERFECT_MU = {
-    MU_SPECTRAL: lambda others: _top_gram_eigenvalue(
-        others.reshape(others.shape[0], -1, others.shape[-1])),
-    MU_PAPER_EXACT: lambda others: np.full(
-        others.shape[0], others.shape[1] * others.shape[2] / others.shape[3]),
-}
+# mu rules: the (T, K-1, R, N) rows of the other users -> (T,) mu, each a
+# certified majorizer of its regime's interference term
+def _perfect_mu(others: np.ndarray) -> np.ndarray:
+    """sum_i ||h_i||^2, the users' powers added one by one, in order."""
+    return sum(_row_powers(others).T)
+
+
+def _imperfect_mu(others: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of the interference matrix sum_i U_i^T U_i^*."""
+    return _top_gram_eigenvalue(others.reshape(others.shape[0], -1, others.shape[-1]))
 
 
 def _dense_form(n: int, k_users: int, r_count: int) -> bool:
@@ -216,7 +200,7 @@ def _project(gf: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _design(rows: np.ndarray, starts: np.ndarray, cfg: MMConfig,
-            mu_rules: dict) -> tuple[BeamformerMatrix, MMReport]:
+            mu_rule) -> tuple[BeamformerMatrix, MMReport]:
     """Iterate every column of every trial together from its start.
 
     rows is (T, K, R, N) and starts (T, N, K). A column whose squared step is
@@ -225,7 +209,7 @@ def _design(rows: np.ndarray, starts: np.ndarray, cfg: MMConfig,
     all its columns are masked. The matrix is (N, T K), trial-major, and the
     report holds one entry per column in that order.
     """
-    product = _UpdateProduct(rows, cfg.omega, mu_rules[cfg.mu_mode])
+    product = _UpdateProduct(rows, cfg.omega, mu_rule)
     f = np.ascontiguousarray(starts, dtype=complex)
     t_count, n, k_users = f.shape
     cols = f.copy()
@@ -286,7 +270,7 @@ def aobf_perfect_csi(scenarios, cfg: MMConfig | None = None) -> tuple[Beamformer
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
     hh = np.stack([sc.channel_matrix() for sc in scenarios])
-    return _design(hh.mT[:, :, None, :], conjugate_phase(hh), cfg or MMConfig(), _PERFECT_MU)
+    return _design(hh.mT[:, :, None, :], conjugate_phase(hh), cfg or MMConfig(), _perfect_mu)
 
 
 def aobf_imperfect_csi(
@@ -316,4 +300,4 @@ def aobf_imperfect_csi(
     rows = np.stack(stacks).reshape(len(trials), k_users, r_count * s_count, -1)
     starts = cb.codewords_at([idx for trial in trials for idx in trial])
     starts = starts.reshape(len(trials), k_users, cb.array.n_bs).mT
-    return _design(rows, starts, cfg or MMConfig(), _IMPERFECT_MU)
+    return _design(rows, starts, cfg or MMConfig(), _imperfect_mu)

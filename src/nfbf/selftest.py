@@ -191,7 +191,7 @@ def _check_mm_descent(rng) -> str:
     # the 5 seeds run as one batch per regime; each seed's columns, counts and
     # traces must equal that seed designed alone, bit for bit
     cfg = ArrayConfig(n_bs=16)
-    mm = MMConfig(mu_mode="spectral")
+    mm = MMConfig()
     cb = build_codebook(cfg, n_dis=16, beta=1.6)
     scens = [random_scenario(cfg, 3, 2, seed=seed) for seed in range(5)]
     idx = [[beam_sweep(cb, u.vector) for u in scen.users] for scen in scens]
@@ -224,7 +224,7 @@ def _check_mm_product_forms(rng) -> str:
     shape = (t_count, k_users, rs, n)
     rows = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * n)
     f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (t_count, n, k_users))) / np.sqrt(n)
-    product = mm._UpdateProduct(rows, 1000.0, mm._IMPERFECT_MU[mm.MU_SPECTRAL])
+    product = mm._UpdateProduct(rows, 1000.0, mm._imperfect_mu)
     if product.dense is None:
         return "N = 16, K R S = 48 did not take the dense form"
     stack = rows.reshape(t_count, k_users * rs, n)
@@ -277,7 +277,8 @@ def _check_hbf_invariants(rng) -> str:
         worst = np.max(np.abs(cross - np.diag(np.diag(cross))) ** 2)
         if worst > 1e-9 * signal:
             return f"ZF leakage too high (seed {seed})"
-        wm, rep = hbf_wmmse(f_ab, eff, 1.0, 0.1)
+        wm, alone_rep = hbf_wmmse([f_ab], [eff], 1.0, 0.1)
+        (rep,) = alone_rep.reports
         wm.composite.validate(MODULUS_TOL)
         if np.any(np.diff(rep.sumrate_trace) < -1e-9):
             return f"WMMSE trace decreased (seed {seed})"

@@ -10,7 +10,7 @@ batched designs in nfbf.mm.
 import numpy as np
 
 from nfbf.metrics import _matrix_of, _sinrs
-from nfbf.mm import _IMPERFECT_MU, _PERFECT_MU, MMConfig, _project, _UpdateProduct
+from nfbf.mm import MMConfig, _imperfect_mu, _perfect_mu, _project, _UpdateProduct
 
 
 def sinr(scenario, f, k: int, p: float, sigma2: float) -> float:
@@ -42,14 +42,14 @@ def slnr_objective(h_all, f_col, k: int, omega: float) -> float:
     return imperfect_objective(_perfect_stacks(h_all), f_col, k, omega)
 
 
-def _single_step(stacks, f_col, k: int, cfg: MMConfig, mu_rules: dict) -> np.ndarray:
+def _single_step(stacks, f_col, k: int, cfg: MMConfig, mu_rule) -> np.ndarray:
     """One update of user k's column through a design's first K-wide product.
 
     Every column of a one-trial batch holds f_col and column k is returned, so
     the result is bit-equal to column k of a design's first iteration from f_col.
     """
     stacks = _checked_stacks(stacks, k)
-    product = _UpdateProduct(np.stack(stacks)[None], cfg.omega, mu_rules[cfg.mu_mode])
+    product = _UpdateProduct(np.stack(stacks)[None], cfg.omega, mu_rule)
     f = np.repeat(np.asarray(f_col, dtype=complex)[None, :, None], len(stacks), axis=2)
     _, gf = product(f)
     return _project(gf, f)[0, :, k]
@@ -57,7 +57,7 @@ def _single_step(stacks, f_col, k: int, cfg: MMConfig, mu_rules: dict) -> np.nda
 
 def mm_update_perfect(h_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
     """One perfect-CSI MM iteration for user k's column."""
-    return _single_step(_perfect_stacks(h_all), f_col, k, cfg, _PERFECT_MU)
+    return _single_step(_perfect_stacks(h_all), f_col, k, cfg, _perfect_mu)
 
 
 def mm_update_imperfect(aux_vectors_all, f_col, k: int, cfg: MMConfig) -> np.ndarray:
@@ -66,4 +66,4 @@ def mm_update_imperfect(aux_vectors_all, f_col, k: int, cfg: MMConfig) -> np.nda
     aux_vectors_all holds one (R*S, N) steering stack per user, as returned by
     approximate_channel_matrices.
     """
-    return _single_step(aux_vectors_all, f_col, k, cfg, _IMPERFECT_MU)
+    return _single_step(aux_vectors_all, f_col, k, cfg, _imperfect_mu)

@@ -25,7 +25,7 @@ def _descent_run():
     """100 seeded perfect-CSI designs shared by criteria 1 and 2."""
     if "descent" not in _CACHE:
         cfg = ArrayConfig(n_bs=64)
-        mm = MMConfig(omega=1000.0, epsilon=1e-9, t_max=1000, mu_mode="spectral")
+        mm = MMConfig(omega=1000.0, epsilon=1e-9, t_max=1000)
         traces = []
         converged = []
         t0 = time.monotonic()
@@ -254,7 +254,7 @@ def test_criterion_8_oracle_equivalences():
     for _ in range(50):
         h_all = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)]
         f = np.exp(1j * rng.uniform(0, 2 * np.pi, 3)) / np.sqrt(3.0)
-        got = mm_update_perfect(h_all, f, 0, MMConfig(omega=10.0, mu_mode="spectral"))
+        got = mm_update_perfect(h_all, f, 0, MMConfig(omega=10.0))
         g = np.outer(h_all[0], h_all[0].conj()) - 10.0 * np.outer(
             h_all[1], h_all[1].conj()
         ) + 10.0 * float(np.linalg.norm(h_all[1]) ** 2) * np.eye(3)

@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import weakref
 
@@ -10,6 +12,7 @@ import pytest
 
 import nfbf.harness
 from nfbf.channel import random_scenario
+from nfbf.cli import main
 from nfbf.harness import (
     CSV_HEADER,
     DEFAULT_AUX_SWEEP,
@@ -350,26 +353,28 @@ def test_singular_zero_forcing_is_attempted_once_per_trial(monkeypatch):
     assert len(calls) == spec.trials
 
 
-def test_mm_mu_mode_from_config_reaches_aobf_imperfect():
+def test_an_mm_key_the_config_has_no_field_for_is_rejected(tmp_path):
+    # MMConfig has one mu rule per regime and no mu_mode; a config that sets it
+    # fails by name, in spec_from_dict and at the command line
     doc = dict(
         experiment="sumrate-vs-snr",
-        schemes=["aobf-perfect", "aobf-imperfect"],
-        trials=2,
+        schemes=["aobf-imperfect"],
+        trials=1,
         sweep=[10.0],
         n_bs=16,
         k=2,
         l=2,
         n_dis=10,
-        r_count=2,
-        s_count=2,
+        mm={"mu_mode": "spectral"},
     )
-    default = run_experiment(spec_from_dict(doc))
-    spectral = run_experiment(spec_from_dict(dict(doc, mm={"mu_mode": "spectral"})))
-    paper = run_experiment(spec_from_dict(dict(doc, mm={"mu_mode": "paper-exact"})))
-    assert default.to_csv() == spectral.to_csv()
-    assert paper.value(10.0, "aobf-imperfect", "sum_rate") != default.value(
-        10.0, "aobf-imperfect", "sum_rate"
-    )
+    with pytest.raises(ValueError, match="unknown keys in config key 'mm': \\['mu_mode'\\]"):
+        spec_from_dict(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    assert code == 2 and "mu_mode" in err.getvalue()
 
 
 def test_all_schemes_run_on_a_tiny_problem():
@@ -595,7 +600,7 @@ def test_k_sweep_solves_wmmse_once_per_chunk_and_k(monkeypatch):
     log = _counted(monkeypatch, ["hbf_wmmse"])
     monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
     assert run_experiment(spec).to_csv() == whole
-    assert [(len(args[0]), args[1][0].matrix.shape) for _, args in log] == [
+    assert [(len(args[0]), args[1][0].shape) for _, args in log] == [
         (2 * 2, (k, k)) for k in (1, 2, 3)] + [(1 * 2, (k, k)) for k in (1, 2, 3)]
 
 

@@ -9,7 +9,6 @@ from nfbf.codebook import CodewordIndex, beam_sweep, build_codebook
 from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.hbf import (
     _NEWTON_CAP,
-    EffectiveChannel,
     SingularEffectiveChannelError,
     analog_beam_steering,
     effective_channel,
@@ -69,16 +68,16 @@ def test_effective_channel_oracle():
     rng = np.random.default_rng(10)
     sc = random_scenario(ArrayConfig(n_bs=16), 3, 2, seed=1)
     a = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    eff = effective_channel(a, sc)
+    eff = effective_channel(BeamformerMatrix(a, ANALOG_ONLY), sc)
     hh = sc.channel_matrix()
-    assert eff.matrix.shape == (3, 3)
+    assert eff.shape == (3, 3)
     for k in range(3):
         for j in range(3):
-            assert eff.matrix[j, k] == pytest.approx(
+            assert eff[j, k] == pytest.approx(
                 np.vdot(a[:, j], hh[:, k]), rel=1e-12
             )
     with pytest.raises(ValueError):
-        effective_channel(a[:8, :], sc)
+        effective_channel(BeamformerMatrix(a[:8, :], ANALOG_ONLY), sc)
 
 
 def test_effective_channel_estimation_noise():
@@ -86,13 +85,13 @@ def test_effective_channel_estimation_noise():
     f = analog_beam_steering("perfect", scenario=sc)
     with pytest.raises(ValueError):
         effective_channel(f, sc, sigma_e2=0.1)
-    e0 = effective_channel(f, sc).matrix
-    e1 = effective_channel(f, sc, sigma_e2=0.1, rng=np.random.default_rng(3)).matrix
-    e1b = effective_channel(f, sc, sigma_e2=0.1, rng=np.random.default_rng(3)).matrix
+    e0 = effective_channel(f, sc)
+    e1 = effective_channel(f, sc, sigma_e2=0.1, rng=np.random.default_rng(3))
+    e1b = effective_channel(f, sc, sigma_e2=0.1, rng=np.random.default_rng(3))
     assert np.array_equal(e1, e1b)
     assert not np.array_equal(e0, e1)
     # the standard error draw is shared across noise levels for a fixed seed
-    e2 = effective_channel(f, sc, sigma_e2=0.4, rng=np.random.default_rng(3)).matrix
+    e2 = effective_channel(f, sc, sigma_e2=0.4, rng=np.random.default_rng(3))
     assert np.allclose((e2 - e0), 2.0 * (e1 - e0), rtol=1e-12, atol=0)
 
 
@@ -100,8 +99,7 @@ def test_zf_on_diagonal_effective_channel():
     # orthonormal analog columns and a diagonal effective channel make the
     # digital stage diagonal, so each composite column is the analog column
     a = np.eye(4, dtype=complex)[:, :2]
-    eff = EffectiveChannel(np.diag([2.0 + 0.0j, -1.0j]))
-    hb = hbf_zf(a, eff)
+    hb = hbf_zf(BeamformerMatrix(a, ANALOG_ONLY), np.diag([2.0 + 0.0j, -1.0j]))
     assert np.allclose(np.abs(hb.composite.matrix), np.abs(a), rtol=0, atol=1e-12)
     hb.composite.validate(atol=1e-12)
 
@@ -126,7 +124,7 @@ def test_zf_scaling_matches_digital_definition():
     f_ab = analog_beam_steering("perfect", scenario=sc)
     eff = effective_channel(f_ab, sc)
     hb = hbf_zf(f_ab, eff)
-    raw = np.linalg.inv(eff.matrix.conj().T)
+    raw = np.linalg.inv(eff.conj().T)
     want = raw / np.linalg.norm(f_ab.matrix @ raw, axis=0)
     assert np.allclose(hb.digital, want, rtol=1e-12, atol=0)
     assert np.allclose(
@@ -154,7 +152,7 @@ def test_wmmse_single_user_matches_matched_filter_rate():
     f_ab = analog_beam_steering("perfect", scenario=sc)
     eff = effective_channel(f_ab, sc)
     p, sigma2 = 1.0, 0.05
-    hb, rep = hbf_wmmse(f_ab, eff, p, sigma2)
+    [(hb, rep)] = _solve_batch([(sc, f_ab, eff, p, sigma2)])
     hb.composite.validate(atol=1e-9)
     h = sc.users[0].vector
     col = f_ab.matrix[:, 0] / np.linalg.norm(f_ab.matrix[:, 0])
@@ -207,7 +205,7 @@ def test_wmmse_trace_is_nondecreasing(cb64):
     for seed in (0, 1, 2, 3, 4):
         sc = random_scenario(cb64.array, 4, 3, seed=seed)
         for f_ab, eff in _analog_and_eff(sc, cb64, sigma2):
-            _, rep = hbf_wmmse(f_ab, eff, p, sigma2)
+            [(_, rep)] = _solve_batch([(sc, f_ab, eff, p, sigma2)])
             trace = rep.sumrate_trace
             assert len(trace) == rep.iterations_used + 1
             assert np.all(np.diff(trace) >= -1e-9)
@@ -219,8 +217,8 @@ def test_wmmse_deterministic():
     sc = random_scenario(ArrayConfig(n_bs=32), 4, 3, seed=11)
     f_ab = analog_beam_steering("perfect", scenario=sc)
     eff = effective_channel(f_ab, sc)
-    hb1, r1 = hbf_wmmse(f_ab, eff, 1.0, 0.02)
-    hb2, r2 = hbf_wmmse(f_ab, eff, 1.0, 0.02)
+    [(hb1, r1)] = _solve_batch([(sc, f_ab, eff, 1.0, 0.02)])
+    [(hb2, r2)] = _solve_batch([(sc, f_ab, eff, 1.0, 0.02)])
     assert np.array_equal(hb1.composite.matrix, hb2.composite.matrix)
     assert r1.iterations_used == r2.iterations_used
 
@@ -246,14 +244,14 @@ def _oracle_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
     Independent reference for hbf_wmmse: every trial multiplier costs one K x K
     least-squares solve. Returns (composite, iterations_used, converged).
     """
-    a = np.asarray(getattr(f_ab, "matrix", f_ab))
-    kk = eff.matrix.shape[1]
+    a = f_ab.matrix
+    kk = eff.shape[1]
     per_user = p / kk
-    g = np.sqrt(per_user) * eff.matrix
+    g = np.sqrt(per_user) * eff
     b = a.conj().T @ a
 
     def rate(v):
-        pw = per_user * np.abs(eff.matrix.conj().T @ v) ** 2
+        pw = per_user * np.abs(eff.conj().T @ v) ** 2
         sig = np.diag(pw)
         return float(np.sum(np.log2(1.0 + sig / (np.sum(pw, axis=1) - sig + sigma2))))
 
@@ -318,10 +316,10 @@ def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
     a scalar power function built from one whitening of A + B. Returns
     (composite, iterations_used, converged).
     """
-    a = np.asarray(getattr(f_ab, "matrix", f_ab))
-    kk = eff.matrix.shape[1]
+    a = f_ab.matrix
+    kk = eff.shape[1]
     per_user = p / kk
-    g = np.sqrt(per_user) * eff.matrix
+    g = np.sqrt(per_user) * eff
     b = a.conj().T @ a
 
     def power_limited(a_mat, c):
@@ -353,7 +351,7 @@ def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
     pw = np.real(np.einsum("ik,ij,jk->k", v.conj(), b, v))
     pw[pw == 0] = 1.0
     v = v / np.sqrt(pw)
-    trace = [float(channel_sum_rates(eff.matrix, v, p, sigma2))]
+    trace = [float(channel_sum_rates(eff, v, p, sigma2))]
     converged = False
     it = 0
     for it in range(1, iters + 1):
@@ -367,7 +365,7 @@ def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
         v = np.linalg.lstsq(a_mat, c, rcond=None)[0]
         if np.real(np.einsum("ik,ij,jk->", v.conj(), b, v)) > kk:
             v = power_limited(a_mat, c)
-        trace.append(float(channel_sum_rates(eff.matrix, v, p, sigma2)))
+        trace.append(float(channel_sum_rates(eff, v, p, sigma2)))
         if _stopping_rule(trace, tol):
             converged = True
             break
@@ -390,8 +388,8 @@ def _assert_matches_oracles(sc, f_ab, eff, p, sigma2, hb, rep):
     return hb
 
 
-def _assert_matches_oracle(sc, f_ab, eff, p, sigma2):
-    return _assert_matches_oracles(sc, f_ab, eff, p, sigma2, *hbf_wmmse(f_ab, eff, p, sigma2))
+def _assert_matches_oracle(*drop):
+    return _assert_matches_oracles(*drop, *_solve_batch([drop])[0])
 
 
 def _solve_batch(drops):
@@ -439,7 +437,7 @@ def _duplicate_codeword_drops(cb, sigma_e2, seeds=range(4), snrs=(-10.0, 10.0, 3
         rng = np.random.default_rng(seed)
         eff = effective_channel(f_ab, sc, sigma_e2=sigma_e2, rng=rng)
         assert np.linalg.matrix_rank(f_ab.matrix.conj().T @ f_ab.matrix) == k - 1
-        assert (np.linalg.matrix_rank(eff.matrix) == k - 1) == (sigma_e2 == 0)
+        assert (np.linalg.matrix_rank(eff) == k - 1) == (sigma_e2 == 0)
         for snr_db in snrs:
             yield sc, f_ab, eff, p, noise_from_snr(p, k, snr_db)
 
@@ -610,7 +608,8 @@ def test_wmmse_normalizes_a_switched_off_user():
 def test_each_problem_of_a_mixed_batch_equals_itself_solved_alone(cb64):
     # both regimes from -10 to 30 dB, singular B, singular A + B and a
     # switched-off user, interleaved in one batch: each problem's composite,
-    # count, flag and trace are bit-identical to that problem solved alone.
+    # count, flag and trace are bit-identical to that problem solved as a
+    # batch of one.
     # At 200 dB some unconstrained steps meet the budget, so the batch mixes
     # problems whose step keeps mu = 0 with problems whose step raises it.
     drops = [*_regime_drops(cb64, range(3), [-10.0, 0.0, 10.0, 20.0, 30.0]),
@@ -628,7 +627,7 @@ def test_each_problem_of_a_mixed_batch_equals_itself_solved_alone(cb64):
     assert rep.converged == sum(r.converged for r in rep.reports)
     assert rep.converged < len(drops)  # some problems stop at the cap, others leave early
     for i, (drop, one, one_rep) in enumerate(zip(drops, hb.split(), rep.reports, strict=True)):
-        alone, alone_rep = hbf_wmmse(*drop[1:])
+        [(alone, alone_rep)] = _solve_batch([drop])
         assert np.array_equal(hb.composite.matrix[:, i * k : (i + 1) * k],
                               alone.composite.matrix)
         assert np.array_equal(one.composite.matrix, alone.composite.matrix)

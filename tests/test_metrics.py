@@ -212,6 +212,22 @@ def test_beamformer_matrix_validation():
         BeamformerMatrix(m, "something-else").validate()
 
 
+@pytest.mark.parametrize("kind", [ANALOG_ONLY, HYBRID_COMPOSITE])
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_validation_rejects_nan(kind, where):
+    # a NaN error compares False with the tolerance either way, so an
+    # all-NaN matrix, or one NaN among valid entries, must still raise
+    n = 16
+    m = (np.exp(1j * np.linspace(0.0, 3.0, n * 2).reshape(n, 2)) / np.sqrt(n)).astype(complex)
+    BeamformerMatrix(m, kind).validate()
+    if where == "all":
+        m[:] = np.nan
+    else:
+        m[3, 1] = np.nan
+    with pytest.raises(ValueError, match="violation: nan"):
+        BeamformerMatrix(m, kind).validate()
+
+
 def test_metrics_accept_wrapped_or_raw_matrix():
     rng = np.random.default_rng(29)
     cfg, sc, f = _random_scenario_and_f(rng, 8, 2)

@@ -15,11 +15,11 @@ from nfbf.codebook import (
 from nfbf.geometry import ArrayConfig, PolarCoord
 from nfbf.metrics import ANALOG_ONLY
 from nfbf.mm import (
-    _IMPERFECT_MU,
-    _PERFECT_MU,
     MMConfig,
     _dense_form,
     _design,
+    _imperfect_mu,
+    _perfect_mu,
     _UpdateProduct,
     _top_gram_eigenvalue,
     aobf_imperfect_csi,
@@ -37,18 +37,14 @@ def _random_cm(rng, n):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)) / np.sqrt(n)
 
 
-def _perfect_g(h_all, k, omega, mode):
+def _perfect_g(h_all, k, omega):
     """Independent reconstruction of the perfect-CSI update matrix."""
     n = h_all[0].shape[0]
     g = np.outer(h_all[k], h_all[k].conj()).astype(complex)
     others = [h for i, h in enumerate(h_all) if i != k]
-    norms2 = [float(np.linalg.norm(h) ** 2) for h in others]
     for h in others:
         g -= omega * np.outer(h, h.conj())
-    if mode == "spectral":
-        mu = sum(norms2)
-    else:
-        mu = max(norms2) * len(others)
+    mu = sum(float(np.linalg.norm(h) ** 2) for h in others)
     return g + omega * mu * np.eye(n)
 
 
@@ -60,11 +56,6 @@ def test_mm_config_validation():
         MMConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         MMConfig(t_max=0)
-    with pytest.raises(ValueError):
-        MMConfig(mu_mode="bogus")
-    with pytest.raises(ValueError):
-        MMConfig(mu_mode=None)
-    assert MMConfig().mu_mode == "spectral"
 
 
 def test_slnr_objective_brute_force():
@@ -85,17 +76,16 @@ def test_slnr_objective_brute_force():
 
 def test_update_matches_reconstructed_projection():
     rng = np.random.default_rng(1)
-    for mode in ("spectral", "paper-exact"):
-        cfg = MMConfig(omega=50.0, mu_mode=mode)
-        for _ in range(10):
-            h_all = _random_channels(rng, 8, 3)
-            f = _random_cm(rng, 8)
-            for k in range(3):
-                g = _perfect_g(h_all, k, 50.0, mode)
-                want = np.exp(1j * np.angle(g @ f)) / np.sqrt(8.0)
-                got = mm_update_perfect(h_all, f, k, cfg)
-                assert np.allclose(got, want, rtol=0, atol=1e-13)
-                assert np.allclose(np.abs(got), 1.0 / np.sqrt(8.0), rtol=0, atol=1e-15)
+    cfg = MMConfig(omega=50.0)
+    for _ in range(10):
+        h_all = _random_channels(rng, 8, 3)
+        f = _random_cm(rng, 8)
+        for k in range(3):
+            g = _perfect_g(h_all, k, 50.0)
+            want = np.exp(1j * np.angle(g @ f)) / np.sqrt(8.0)
+            got = mm_update_perfect(h_all, f, k, cfg)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+            assert np.allclose(np.abs(got), 1.0 / np.sqrt(8.0), rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         mm_update_perfect(h_all, f, 3, MMConfig())
 
@@ -106,9 +96,9 @@ def test_update_is_separable_phase_maximizer():
     rng = np.random.default_rng(2)
     h_all = _random_channels(rng, 3, 2)
     f = _random_cm(rng, 3)
-    cfg = MMConfig(omega=10.0, mu_mode="spectral")
+    cfg = MMConfig(omega=10.0)
     got = mm_update_perfect(h_all, f, 0, cfg)
-    gf = _perfect_g(h_all, 0, 10.0, "spectral") @ f
+    gf = _perfect_g(h_all, 0, 10.0) @ f
     grid = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
     for n in range(3):
         best = np.max(np.real(np.conj(grid / np.sqrt(3.0)) * gf[n]))
@@ -123,7 +113,7 @@ def test_surrogate_dominates_objective():
     omega = 25.0
     h_all = _random_channels(rng, 8, 3)
     k = 1
-    g = _perfect_g(h_all, k, omega, "spectral")
+    g = _perfect_g(h_all, k, omega)
     mu = omega * sum(
         float(np.linalg.norm(h) ** 2) for i, h in enumerate(h_all) if i != k
     )
@@ -136,7 +126,7 @@ def test_surrogate_dominates_objective():
 
     obj_t = slnr_objective(h_all, f_t, k, omega)
     assert surrogate(f_t) == pytest.approx(obj_t, rel=1e-9)
-    f_plus = mm_update_perfect(h_all, f_t, k, MMConfig(omega=omega, mu_mode="spectral"))
+    f_plus = mm_update_perfect(h_all, f_t, k, MMConfig(omega=omega))
     for _ in range(200):
         f = _random_cm(rng, 8)
         assert surrogate(f) >= slnr_objective(h_all, f, k, omega) - 1e-9
@@ -201,7 +191,7 @@ def test_epsilon_inf_runs_exactly_one_update():
 
 
 def test_perfect_design_descends_and_reports_consistently():
-    cfg = MMConfig(mu_mode="spectral")
+    cfg = MMConfig()
     for seed in range(30):
         sc = random_scenario(ArrayConfig(n_bs=16), 3, 2, seed=seed)
         f, rep = aobf_perfect_csi(sc, cfg)
@@ -270,19 +260,14 @@ def test_imperfect_update_matches_reconstruction():
     for k in range(3):
         zk = sum(np.outer(u, u.conj()) for u in aux[k])
         z_int = np.zeros((n, n), dtype=complex)
-        count = 0
         for i in range(3):
             if i != k:
                 z_int += sum(np.outer(u, u.conj()) for u in aux[i])
-                count += aux[i].shape[0]
-        for mode, mu in (
-            ("spectral", float(np.linalg.eigvalsh(z_int)[-1])),
-            ("paper-exact", count / n),
-        ):
-            g = zk - omega * z_int + omega * mu * np.eye(n)
-            want = np.exp(1j * np.angle(g @ f)) / np.sqrt(n)
-            got = mm_update_imperfect(aux, f, k, MMConfig(omega=omega, mu_mode=mode))
-            assert np.allclose(got, want, rtol=0, atol=1e-13)
+        mu = float(np.linalg.eigvalsh(z_int)[-1])
+        g = zk - omega * z_int + omega * mu * np.eye(n)
+        want = np.exp(1j * np.angle(g @ f)) / np.sqrt(n)
+        got = mm_update_imperfect(aux, f, k, MMConfig(omega=omega))
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
         mm_update_imperfect(aux, f, 5, MMConfig())
 
@@ -292,7 +277,7 @@ def test_imperfect_single_user_gain_does_not_drop():
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=20)
     idx = CodewordIndex(p=5, q=3)
-    f, rep = aobf_imperfect_csi(cb, [idx], 2, 2, MMConfig(mu_mode="spectral"))
+    f, rep = aobf_imperfect_csi(cb, [idx], 2, 2, MMConfig())
     trace = rep.objective_trace[0]
     assert trace[-1] <= trace[0] + 1e-9
     assert len(rep.iterations_used) == 1
@@ -306,7 +291,7 @@ def test_imperfect_design_starts_at_codeword_and_descends():
     for _ in range(3):
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         indices.append(beam_sweep(cb, h))
-    mm = MMConfig(mu_mode="spectral", epsilon=np.inf)
+    mm = MMConfig(epsilon=np.inf)
     f1, rep1 = aobf_imperfect_csi(cb, indices, 2, 2, mm)
     # one-update run reproduces a manual step from the codeword initialization
     aux = approximate_channel_matrices(
@@ -315,33 +300,19 @@ def test_imperfect_design_starts_at_codeword_and_descends():
     for k, idx in enumerate(indices):
         want = mm_update_imperfect(aux, cb.codeword(idx), k, mm)
         assert np.array_equal(f1.matrix[:, k], want)
-    # full spectral run descends and stays constant-modulus
-    f2, rep2 = aobf_imperfect_csi(cb, indices, 2, 2, MMConfig(mu_mode="spectral"))
+    # a full run descends and stays constant-modulus
+    f2, rep2 = aobf_imperfect_csi(cb, indices, 2, 2, MMConfig())
     f2.validate(atol=1e-9)
     for trace in rep2.objective_trace:
         scale = np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(np.diff(trace) <= 1e-9 * scale)
 
 
-def test_imperfect_default_mode_is_spectral():
-    cfg = ArrayConfig(n_bs=8)
-    cb = build_codebook(cfg, n_dis=10)
-    indices = [CodewordIndex(2, 3), CodewordIndex(6, 1)]
-    small = MMConfig(t_max=5, epsilon=1e-30)
-    f_default, _ = aobf_imperfect_csi(cb, indices, 2, 2, small)
-    explicit = MMConfig(t_max=5, epsilon=1e-30, mu_mode="spectral")
-    f_explicit, _ = aobf_imperfect_csi(cb, indices, 2, 2, explicit)
-    assert np.array_equal(f_default.matrix, f_explicit.matrix)
-    paper = MMConfig(t_max=5, epsilon=1e-30, mu_mode="paper-exact")
-    f_paper, _ = aobf_imperfect_csi(cb, indices, 2, 2, paper)
-    assert not np.array_equal(f_default.matrix, f_paper.matrix)
-
-
 def test_imperfect_design_deterministic():
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=20)
     indices = [CodewordIndex(4, 2), CodewordIndex(12, 5), CodewordIndex(9, 1)]
-    mm = MMConfig(mu_mode="spectral")
+    mm = MMConfig()
     f1, r1 = aobf_imperfect_csi(cb, indices, 2, 3, mm)
     f2, r2 = aobf_imperfect_csi(cb, indices, 2, 3, mm)
     assert np.array_equal(f1.matrix, f2.matrix)
@@ -361,7 +332,7 @@ def test_interference_nulling_beats_matched_filter_in_slnr():
     )
     hh = sc.channel_matrix()
     h_list = [hh[:, i] for i in range(2)]
-    f, _ = aobf_perfect_csi(sc, MMConfig(mu_mode="spectral"))
+    f, _ = aobf_perfect_csi(sc)
     for k in range(2):
         f0 = np.exp(1j * np.angle(hh[:, k])) / 8.0
         assert slnr_objective(h_list, f.matrix[:, k], k, 1000.0) <= slnr_objective(
@@ -430,7 +401,7 @@ def test_perfect_design_matches_an_independent_loop():
         f, rep = aobf_perfect_csi(sc)
         h_all = list(sc.channel_matrix().T)
         for k in range(3):
-            g = _perfect_g(h_all, k, 1000.0, "spectral")
+            g = _perfect_g(h_all, k, 1000.0)
             col = np.exp(1j * np.angle(h_all[k])) / 4.0
             for _ in range(rep.iterations_used[k]):
                 col = np.exp(1j * np.angle(g @ col)) / 4.0
@@ -445,12 +416,8 @@ def _dense_power(u):
 
 
 _DENSE_MU = {
-    ("perfect", "spectral"): lambda others, z_int: sum(_dense_power(u) for u in others),
-    ("perfect", "paper-exact"): lambda others, z_int: max(_dense_power(u) for u in others)
-    * len(others),
-    ("imperfect", "spectral"): lambda others, z_int: float(np.linalg.eigvalsh(z_int)[-1]),
-    ("imperfect", "paper-exact"): lambda others, z_int: sum(u.shape[0] for u in others)
-    / z_int.shape[0],
+    "perfect": lambda others, z_int: sum(_dense_power(u) for u in others),
+    "imperfect": lambda others, z_int: float(np.linalg.eigvalsh(z_int)[-1]),
 }
 
 
@@ -497,7 +464,7 @@ def _dense_design(stacks, starts, cfg, regime):
     """Per user: (column, iterations, trace, converged) from the dense engine."""
     out = []
     for k, f0 in enumerate(starts):
-        g, mu = _dense_update_matrix(stacks, k, cfg.omega, _DENSE_MU[regime, cfg.mu_mode])
+        g, mu = _dense_update_matrix(stacks, k, cfg.omega, _DENSE_MU[regime])
         out.append(_dense_run_mm(g, f0, cfg, cfg.omega * mu))
     return out
 
@@ -525,12 +492,11 @@ def _regime_runs(n, seeds, rs_values, mm):
     return runs
 
 
-@pytest.mark.parametrize("mu_mode", ["spectral", "paper-exact"])
-def test_batched_kernel_matches_the_dense_engine(mu_mode):
+def test_batched_kernel_matches_the_dense_engine():
     # seeds 0-2 as one batch; per seed, the same flags and iteration counts as
     # the dense engine in both regimes, and final objectives, each evaluated at
     # the returned column, within 1e-9 relative
-    mm = MMConfig(mu_mode=mu_mode)
+    mm = MMConfig()
     for regime, (f, rep), dense, supports, objective in _regime_runs(64, range(3), (1, 4, 6), mm):
         for seed, (oracle, support) in enumerate(zip(dense, supports)):
             cols = slice(4 * seed, 4 * seed + 4)
@@ -576,12 +542,11 @@ def _assert_trial_equals_alone(f, rep, t, alone):
         assert np.array_equal(got, want), t
 
 
-@pytest.mark.parametrize("mu_mode", ["spectral", "paper-exact"])
-def test_each_trial_of_a_batch_equals_its_design_alone(mu_mode):
+def test_each_trial_of_a_batch_equals_its_design_alone():
     # five trials designed as one batch, in both regimes and at R = S = 1, 4,
     # 6: each trial's columns, counts, flags and traces are bit-equal to that
     # trial designed alone
-    mm = MMConfig(mu_mode=mu_mode)
+    mm = MMConfig()
     cfg = ArrayConfig(n_bs=64)
     cb = build_codebook(cfg, n_dis=40)
     scs = [random_scenario(cfg, 4, 3, seed=seed) for seed in range(5)]
@@ -627,14 +592,14 @@ def test_zero_update_entry_retains_previous_value_inside_a_batch():
     rows = np.array(h)[:, :, None, :]
     starts = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 3, 2))) / np.sqrt(3.0)
     mm = MMConfig(omega=0.0)
-    f, rep = _design(rows, starts, mm, _PERFECT_MU)
+    f, rep = _design(rows, starts, mm, _perfect_mu)
     assert f.matrix[1, 0] == starts[0, 1, 0]
     assert abs(f.matrix[1, 0]) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
     assert np.all(f.matrix[[0, 2], 0] != starts[0, [0, 2], 0])
     assert all(rep.converged)
     for t in range(2):
         _assert_trial_equals_alone(f, rep, t, _design(rows[t:t + 1], starts[t:t + 1], mm,
-                                                      _PERFECT_MU))
+                                                      _perfect_mu))
 
 
 @pytest.mark.parametrize("rs, gram_size", [(2, 12), (6, 64)])
@@ -673,7 +638,7 @@ def test_product_form_follows_the_flop_rule(n, k, rs, dense):
     # whatever the trial count
     assert _dense_form(n, k, rs) is dense
     for t in (1, 3):
-        product = _UpdateProduct(_random_rows(0, t, k, rs, n), 1000.0, _IMPERFECT_MU["spectral"])
+        product = _UpdateProduct(_random_rows(0, t, k, rs, n), 1000.0, _imperfect_mu)
         assert (product.dense is not None) is dense
         if dense:
             assert product.dense.shape == (t, k, n, n)
@@ -701,7 +666,7 @@ def test_both_product_forms_agree(k, rs, monkeypatch):
     rows = _random_rows(1, 3, k, rs, 64)
     rng = np.random.default_rng(2)
     f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 64, k))) / 8.0
-    mu_rule = _IMPERFECT_MU["spectral"]
+    mu_rule = _imperfect_mu
     chosen = _UpdateProduct(rows, 1000.0, mu_rule)
     dense_form = nfbf.mm._dense_form
     monkeypatch.setattr(nfbf.mm, "_dense_form", lambda *shape: not dense_form(*shape))
