@@ -85,10 +85,10 @@ SWEEP_AXES = {
 EXPERIMENTS = tuple(SWEEP_AXES)
 DEFAULT_PATTERN_LOCATIONS = ((-23.57, 50.0), (17.46, 150.0), (-64.16, 100.0))
 _EST_STREAM = 0x5EED  # fixed offset stream for estimation-noise draws
-# Trials run_experiment holds at once: it draws and sweeps this many, builds
-# one design table per array and K (each MM regime and grid, and all WMMSE
-# problems, as one batch), then computes their rates, so memory stays bounded
-# however many trials a run has.
+# Trials run_experiment holds at once: for one array and K it draws and
+# sweeps this many, builds their design table (each MM regime and grid, and
+# all WMMSE problems, as one batch), then computes their rates, so memory
+# stays bounded however many trials a run has.
 TRIAL_CHUNK = 32
 CSV_HEADER = ("sweep", "scheme", "metric", "mean", "stderr", "trials")
 
@@ -131,6 +131,14 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.k < 1 or self.l < 1:
             raise ValueError("k and l must be >= 1")
+        # the codebook's own checks, made here so that a bad sweep value fails
+        # in value_spec, before any codebook is built or trial drawn
+        if self.n_dis < 1:
+            raise ValueError("n_dis must be >= 1")
+        if not self.beta > 0:
+            raise ValueError("beta must be positive")
+        if self.r_count < 1 or self.s_count < 1:
+            raise ValueError("r_count and s_count must be >= 1")
         if not self.p > 0:
             raise ValueError("p must be positive")
         if not self.pilot_noise_factor >= 0:
@@ -304,13 +312,17 @@ def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Run one sweep experiment and aggregate per-scheme metrics.
 
-    Trials run in chunks of TRIAL_CHUNK: each chunk's trials are drawn and
-    swept, then designed in one _design_table per array and K, then rated.
-    The codebooks are built once, before the first draw. The sweeps alone
-    read their bases; every design table gets the grid-only codebook, and the
-    run drops its last reference to each basis once the last chunk is swept,
-    before that chunk's designs. A run of at most TRIAL_CHUNK trials thus
-    designs and rates without any basis held.
+    Sweep values that share the array and K form one group, which draws and
+    sweeps its trials once for all of them. Groups run in turn, the largest
+    array first, and each works through its trials in chunks of TRIAL_CHUNK:
+    each chunk's trials are drawn and swept, then designed in one
+    _design_table, then rated. Each array's codebook is built just before its
+    first group, so the largest is built before the first draw, and the sweeps
+    alone read its basis: every design table gets the grid-only codebook, and
+    the run drops the basis once the last chunk of that array's last group is
+    swept, before that chunk's designs. At most one basis is thus alive at a
+    time, and a run of at most TRIAL_CHUNK trials designs and rates without
+    any basis held.
     """
     if spec.experiment == "beam-pattern":
         raise ValueError("beam-pattern runs through run_beam_pattern")
@@ -334,47 +346,41 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         vs = value_spec(spec, v)
         per_value.append((v, vs, noise_from_snr(vs.p, vs.k, vs.snr_db)))
 
-    codebooks: dict[int, PolarCodebook] = {}
-    if _needs_codebook(spec.schemes):
-        for _, vs, _ in per_value:
-            if vs.n_bs not in codebooks:
-                codebooks[vs.n_bs] = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
-    grids = {n: cb.without_basis() for n, cb in codebooks.items()}
-
-    # per array and K: the spec of its first sweep value, and every
-    # (scheme, noise power, (R, S)) cell of its sweep values
+    # per array and K: the spec of its first sweep value, and the (value, noise
+    # power, (R, S)) of each of its sweep values
     groups: dict = {}
-    for _, vs, sigma2 in per_value:
-        _, cells = groups.setdefault((vs.n_bs, vs.k), (vs, {}))
-        for scheme in spec.schemes:
-            cells[scheme, sigma2, (vs.r_count, vs.s_count)] = None
-
-    def draw(seed: int) -> dict:
-        # sweep values that keep the array and K share one scenario draw and
-        # sweep. Each draw is swept at once, before the next draw, so every
-        # beam_sweep call follows its own trial's random_scenario call, which
-        # is how benchmark/tracing.py attributes calls to trials.
-        trial = {}
-        for key, (vs, _) in groups.items():
-            scenario = random_scenario(vs.array_config(), vs.k, spec.l, seed)
-            trial[key] = (scenario, _swept_indices(scenario, codebooks.get(vs.n_bs)))
-        return trial
+    for v, vs, sigma2 in per_value:
+        groups.setdefault((vs.n_bs, vs.k), (vs, []))[1].append(
+            (v, sigma2, (vs.r_count, vs.s_count)))
+    order = sorted(groups, key=lambda key: -key[0])  # largest array first, stable within one
+    last_of_array = {key[0]: key for key in order}  # each array's last group
 
     rates = {(v, scheme): np.empty(spec.trials) for v, _, _ in per_value for scheme in spec.schemes}
-    for first in range(0, spec.trials, TRIAL_CHUNK):
-        chunk = [draw(spec.base_seed + t)
-                 for t in range(first, min(first + TRIAL_CHUNK, spec.trials))]
-        if first + TRIAL_CHUNK >= spec.trials:
-            codebooks.clear()  # the last sweep is done: free every basis before the designs
-        tables = {key: _design_table(spec, [trial[key] for trial in chunk],
-                                     grids.get(vs.n_bs), cells, spec.pilot_noise_factor)
-                  for key, (vs, cells) in groups.items()}
-        for t, trial in enumerate(chunk):
-            for v, vs, sigma2 in per_value:
-                key = (vs.n_bs, vs.k)
-                for scheme in spec.schemes:
-                    f = tables[key][scheme, sigma2, (vs.r_count, vs.s_count)][t]
-                    rates[v, scheme][first + t] = _rate(trial[key][0], f, spec.p, sigma2)
+    cb = grid = None
+    for key in order:
+        vs, values = groups[key]
+        if cb is None and _needs_codebook(spec.schemes):
+            # cb is None here only at an array's first group: each basis is
+            # dropped after the last sweep of its array's last group
+            cb = build_codebook(vs.array_config(), vs.n_dis, vs.beta)
+            grid = cb.without_basis()
+        cells = [(scheme, sigma2, aux) for _, sigma2, aux in values for scheme in spec.schemes]
+        for first in range(0, spec.trials, TRIAL_CHUNK):
+            chunk = []
+            for t in range(first, min(first + TRIAL_CHUNK, spec.trials)):
+                # each draw is swept at once, before the next draw, so every
+                # beam_sweep call follows its own trial's random_scenario call,
+                # which is how benchmark/tracing.py attributes calls to trials
+                scenario = random_scenario(vs.array_config(), vs.k, spec.l, spec.base_seed + t)
+                chunk.append((scenario, _swept_indices(scenario, cb)))
+            if key == last_of_array[key[0]] and first + TRIAL_CHUNK >= spec.trials:
+                cb = None  # the basis's last sweep is done: free it before the designs
+            table = _design_table(spec, chunk, grid, cells, spec.pilot_noise_factor)
+            for t, (scenario, _) in enumerate(chunk):
+                for v, sigma2, aux in values:
+                    for scheme in spec.schemes:
+                        rates[v, scheme][first + t] = _rate(scenario, table[scheme, sigma2, aux][t],
+                                                            spec.p, sigma2)
 
     rows: list[ResultRow] = []
     for v, vs, _ in per_value:

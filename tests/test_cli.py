@@ -170,6 +170,46 @@ def test_malformed_config_exits_2(tmp_path):
         assert next(iter(doc)) in err4, err4  # the key at fault, not a later failure
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"n_dis": 0}, {"beta": -1.0}, {"r_count": 0}, {"s_count": 0},
+     {"experiment": "aux-sweep", "schemes": ["aobf-imperfect"], "sweep": [0]}],
+)
+def test_run_exits_2_on_a_bad_codebook_field(tmp_path, doc):
+    code, out, err = _run(["run", "--config", _write_config(tmp_path, **doc)])
+    assert code == 2 and out == ""
+    assert "must be" in err, err
+
+
+def _peak_rss_mb(src: str, *argv) -> float:
+    """The peak RSS, in MB, of a child Python run with argv and src on its path."""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # Linux reports kilobytes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_a_multi_array_run_holds_one_basis_at_a_time(tmp_path):
+    # N = 64, 128 and 256 with the imperfect schemes: the run's peak stays
+    # within 20 MB of a process that only builds the N = 256 codebook (84 MB
+    # of basis). Holding the N = 64 and 128 bases with it adds 26 MB; on a
+    # 2-core x86-64 box the run's peak read 8.6 MB above the build's, and
+    # 34 MB above it when every basis lived through every sweep.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cfg = _write_config(tmp_path, experiment="sumrate-vs-nbs", sweep=[64, 128, 256], trials=1,
+                        n_dis=320, k=4, l=3,
+                        schemes=["aobf-imperfect", "steer-imperfect", "hbf-zf-imperfect",
+                                 "hbf-wmmse-imperfect"])
+    run = _peak_rss_mb(src, "-m", "nfbf", "run", "--config", cfg)
+    build = _peak_rss_mb(src, "-c", "import nfbf; from nfbf.codebook import build_codebook; "
+                                    "build_codebook(nfbf.geometry.ArrayConfig(n_bs=256))")
+    assert run - build <= 20.0, (run, build)
+
+
 def test_run_exits_2_on_a_codebook_too_large_for_memory():
     # N = 200 000 would need about 1e14 bytes; the run fails before allocating
     if nfbf.codebook._available_memory() is None:

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+import nfbf.codebook
 import nfbf.harness
 from nfbf.channel import random_scenario
 from nfbf.cli import main
@@ -182,6 +183,24 @@ def test_energy_efficiency_divides_by_the_runs_transmit_power():
 def test_spec_rejects_nonsense_power_inputs(bad):
     with pytest.raises(ValueError):
         _tiny_spec(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"n_dis": 0}, {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")},
+            {"r_count": 0}, {"s_count": 0}]
+)
+def test_spec_rejects_bad_codebook_fields(bad):
+    # the schemes are perfect-CSI, so no codebook build would catch these
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        _tiny_spec(**bad)
+
+
+def test_a_bad_aux_sweep_value_fails_before_any_build_or_draw(monkeypatch):
+    log = _counted(monkeypatch, ["build_codebook", "random_scenario"])
+    spec = _tiny_spec(experiment="aux-sweep", schemes=("aobf-imperfect",), sweep=(1, 0))
+    with pytest.raises(ValueError, match="r_count and s_count must be >= 1"):
+        run_experiment(spec)
+    assert log == []
 
 
 def test_nbs_and_k_sweeps_change_the_draw():
@@ -592,7 +611,8 @@ def test_snr_sweep_solves_wmmse_once_per_chunk(monkeypatch):
 
 
 def test_k_sweep_solves_wmmse_once_per_chunk_and_k(monkeypatch):
-    # each K is its own (N, K) group: one batch per chunk and K
+    # each K is its own (N, K) group, and the groups run in turn: one batch
+    # per chunk and K, all of K = 1's chunks before K = 2's
     spec = _tiny_spec(experiment="sumrate-vs-k",
                       schemes=("hbf-wmmse-perfect", "hbf-wmmse-imperfect"), trials=3,
                       sweep=(1, 2, 3))
@@ -601,12 +621,13 @@ def test_k_sweep_solves_wmmse_once_per_chunk_and_k(monkeypatch):
     monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
     assert run_experiment(spec).to_csv() == whole
     assert [(len(args[0]), args[1][0].shape) for _, args in log] == [
-        (2 * 2, (k, k)) for k in (1, 2, 3)] + [(1 * 2, (k, k)) for k in (1, 2, 3)]
+        (trials * 2, (k, k)) for k in (1, 2, 3) for trials in (2, 1)]
 
 
 def test_each_trials_sweeps_follow_its_own_draw(monkeypatch):
-    # two array sizes, so each trial draws twice: each draw is followed by
-    # one beam sweep per user, of that draw's channels, before any later draw
+    # two array sizes, so each trial draws twice, every trial of the larger
+    # array first: each draw is followed by one beam sweep per user, of that
+    # draw's channels, before any later draw
     events = []
     real_draw, real_sweep = nfbf.harness.random_scenario, nfbf.harness.beam_sweep
     monkeypatch.setattr(nfbf.harness, "random_scenario",
@@ -619,7 +640,7 @@ def test_each_trials_sweeps_follow_its_own_draw(monkeypatch):
     k = spec.k
     assert len(events) == (1 + k) * 2 * spec.trials
     draws = events[:: 1 + k]
-    assert [(sc.seed, sc.array.n_bs) for sc in draws] == [(t, n) for t in range(3) for n in (8, 16)]
+    assert [(sc.seed, sc.array.n_bs) for sc in draws] == [(t, n) for n in (16, 8) for t in range(3)]
     for i, scenario in enumerate(draws):
         swept = events[i * (1 + k) + 1 : (i + 1) * (1 + k)]
         assert all(h is u.vector for h, u in zip(swept, scenario.users, strict=True))
@@ -700,6 +721,59 @@ def test_a_chunked_run_holds_each_basis_through_its_last_sweep(monkeypatch):
     assert len(refs) == 2
     assert sweeps == [True] * spec.trials * spec.k
     assert designs == [(False, True), (False, True), (True, True)]
+
+
+def test_every_sweep_reads_the_one_basis_alive(monkeypatch):
+    # three arrays, given smallest first: every trial of the largest array
+    # runs first, and at each beam sweep the one basis alive is the swept
+    # codebook's, of the swept channel's N
+    refs, _ = _basis_lifetimes(monkeypatch)
+    sweeps = []
+    real_sweep = nfbf.harness.beam_sweep
+
+    def sweep(cb, h):
+        gc.collect()
+        alive = [ref() for ref in refs if ref() is not None]
+        one = len(alive) == 2 and alive[0] is cb.sums and alive[1] is cb.diffs
+        sweeps.append((cb.array.n_bs, h.size, one))
+        return real_sweep(cb, h)
+
+    monkeypatch.setattr(nfbf.harness, "beam_sweep", sweep)
+    spec = _tiny_spec(experiment="sumrate-vs-nbs", schemes=("aobf-imperfect", "steer-imperfect"),
+                      trials=3, sweep=(8, 16, 12))
+    run_experiment(spec)
+    assert len(refs) == 6
+    assert sweeps == [(n, n, True) for n in (16, 12, 8) for _ in range(spec.trials * spec.k)]
+
+
+def test_each_array_builds_its_codebook_once(monkeypatch):
+    # three K at one N, in chunks of 2: one codebook serves every chunk of
+    # the three groups; two arrays in chunks of 2: one codebook each, the
+    # larger first, and the CSV of one chunk
+    log = _counted(monkeypatch, ["build_codebook"])
+    k_spec = _tiny_spec(experiment="sumrate-vs-k", schemes=("aobf-imperfect",), sweep=(1, 2, 3))
+    nbs_spec = _tiny_spec(experiment="sumrate-vs-nbs",
+                          schemes=("aobf-imperfect", "hbf-zf-imperfect"), trials=5, sweep=(8, 16))
+    whole = run_experiment(nbs_spec).to_csv()
+    monkeypatch.setattr(nfbf.harness, "TRIAL_CHUNK", 2)
+    log.clear()
+    run_experiment(k_spec)
+    assert [args[0].n_bs for _, args in log] == [16]
+    log.clear()
+    assert run_experiment(nbs_spec).to_csv() == whole
+    assert [args[0].n_bs for _, args in log] == [16, 8]
+
+
+def test_a_run_too_large_for_memory_fails_before_its_first_draw(monkeypatch):
+    # memory for the N = 8 basis but not the N = 16 one: the larger array is
+    # built first, though listed last, so the run fails with no trial drawn
+    log = _counted(monkeypatch, ["build_codebook", "random_scenario"])
+    basis = 8 * 10 * 16 * 8  # ceil(N/2) * n_dis * N entries of 8 bytes at N = 16
+    monkeypatch.setattr(nfbf.codebook, "_available_memory", lambda: basis - 1)
+    spec = _tiny_spec(experiment="sumrate-vs-nbs", schemes=("aobf-imperfect",), sweep=(8, 16))
+    with pytest.raises(ValueError, match="GB of memory available"):
+        run_experiment(spec)
+    assert [(name, args[0].n_bs) for name, args in log] == [("build_codebook", 16)]
 
 
 def test_beam_pattern_frees_the_basis_after_its_sweep(monkeypatch):
