@@ -6,9 +6,6 @@ from .channel import (
     UserChannel,
     make_user_channel,
     random_scenario,
-    scenario_from_json,
-    scenario_to_json,
-    synthesize_channel,
 )
 from .codebook import (
     AuxiliaryGrid,
@@ -23,14 +20,9 @@ from .codebook import (
 )
 from .geometry import (
     ArrayConfig,
-    CartesianCoord,
     PolarCoord,
-    cartesian_to_polar,
-    element_distance,
     element_distances,
     farfield_steering,
-    nearfield_steering,
-    polar_to_cartesian,
     rayleigh_distance,
     steering_matrix,
 )
@@ -56,7 +48,6 @@ from .hbf import (
 from .metrics import (
     BeamformerMatrix,
     PowerModel,
-    beam_gain,
     beam_pattern_grid,
     noise_from_snr,
     sum_rate,
@@ -78,9 +69,6 @@ __all__ = [
     "UserChannel",
     "make_user_channel",
     "random_scenario",
-    "scenario_from_json",
-    "scenario_to_json",
-    "synthesize_channel",
     "AuxiliaryGrid",
     "CodewordIndex",
     "PolarCodebook",
@@ -91,14 +79,9 @@ __all__ = [
     "codebook_grid",
     "export_codebook_csv",
     "ArrayConfig",
-    "CartesianCoord",
     "PolarCoord",
-    "cartesian_to_polar",
-    "element_distance",
     "element_distances",
     "farfield_steering",
-    "nearfield_steering",
-    "polar_to_cartesian",
     "rayleigh_distance",
     "steering_matrix",
     "BeamPatternResult",
@@ -118,7 +101,6 @@ __all__ = [
     "hbf_zf",
     "BeamformerMatrix",
     "PowerModel",
-    "beam_gain",
     "beam_pattern_grid",
     "noise_from_snr",
     "sum_rate",

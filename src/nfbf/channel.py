@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, PolarCoord, nearfield_steering, rayleigh_distance
+from .geometry import ArrayConfig, PolarCoord, rayleigh_distance, steering_matrix
 
 DEFAULT_RHO_MIN_WAVELENGTHS = 3.0
 SCATTER_GAIN_VAR = 0.01
@@ -34,9 +33,22 @@ class UserChannel:
 
 
 def make_user_channel(cfg: ArrayConfig, paths: list[PathComponent]) -> UserChannel:
-    """Construct a UserChannel with its vector synthesized from the paths."""
+    """Construct a UserChannel with its vector synthesized from the paths:
+    h = sqrt(N/L) * sum_l gain_l * steering(location_l).
+
+    The L steering vectors come from one steering_matrix call, and the terms
+    are added in path order, starting from the first.
+    """
     paths = list(paths)
-    return UserChannel(paths=paths, vector=synthesize_channel(cfg, paths))
+    if not paths:
+        raise ValueError("path list must be nonempty")
+    angles = [p.location.angle for p in paths]
+    radii = [p.location.radius for p in paths]
+    terms = steering_matrix(cfg, angles, radii)
+    h = paths[0].gain * terms[0]
+    for p, u in zip(paths[1:], terms[1:]):
+        h += p.gain * u
+    return UserChannel(paths=paths, vector=np.sqrt(cfg.n_bs / len(paths)) * h)
 
 
 @dataclass
@@ -58,16 +70,6 @@ class Scenario:
     def user_locations(self) -> list[PolarCoord]:
         """Physical UE locations (path 0 of every user)."""
         return [u.paths[0].location for u in self.users]
-
-
-def synthesize_channel(cfg: ArrayConfig, paths: list[PathComponent]) -> np.ndarray:
-    """h = sqrt(N/L) * sum_l gain_l * steering(location_l)."""
-    if not paths:
-        raise ValueError("path list must be nonempty")
-    h = np.zeros(cfg.n_bs, dtype=complex)
-    for p in paths:
-        h += p.gain * nearfield_steering(cfg, p.location)
-    return np.sqrt(cfg.n_bs / len(paths)) * h
 
 
 def random_scenario(cfg: ArrayConfig, k: int, l: int, seed: int) -> Scenario:
@@ -100,48 +102,3 @@ def random_scenario(cfg: ArrayConfig, k: int, l: int, seed: int) -> Scenario:
         users.append(make_user_channel(cfg, paths))
     return Scenario(users=users, array=cfg, seed=seed)
 
-
-def scenario_to_json(sc: Scenario) -> str:
-    """Serialize a scenario (seed, array, per-user paths) to JSON."""
-    doc = {
-        "seed": sc.seed,
-        "array": {
-            "n_bs": sc.array.n_bs,
-            "wavelength": sc.array.wavelength,
-            "spacing": sc.array.spacing,
-        },
-        "users": [
-            [
-                {
-                    "gain_re": p.gain.real,
-                    "gain_im": p.gain.imag,
-                    "angle": p.location.angle,
-                    "radius": p.location.radius,
-                }
-                for p in u.paths
-            ]
-            for u in sc.users
-        ],
-    }
-    return json.dumps(doc)
-
-
-def scenario_from_json(text: str) -> Scenario:
-    """Rebuild a scenario from scenario_to_json output (vectors re-synthesized)."""
-    doc = json.loads(text)
-    cfg = ArrayConfig(
-        n_bs=int(doc["array"]["n_bs"]),
-        wavelength=float(doc["array"]["wavelength"]),
-        spacing=float(doc["array"]["spacing"]),
-    )
-    users = []
-    for paths in doc["users"]:
-        comps = [
-            PathComponent(
-                complex(p["gain_re"], p["gain_im"]),
-                PolarCoord(float(p["angle"]), float(p["radius"])),
-            )
-            for p in paths
-        ]
-        users.append(make_user_channel(cfg, comps))
-    return Scenario(users=users, array=cfg, seed=int(doc["seed"]))

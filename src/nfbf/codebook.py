@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ArrayConfig, PolarCoord, steering_matrix
+from .geometry import ArrayConfig, steering_matrix
 
 DEFAULT_N_DIS = 320
 DEFAULT_BETA = 1.6
@@ -115,14 +115,9 @@ class PolarCodebook:
         arrays, shared and not copied, and no sweep basis."""
         return replace(self, sums=None, diffs=None)
 
-    def codeword(self, idx: CodewordIndex) -> np.ndarray:
-        """(N,) steering vector of codeword idx, a new array."""
-        self._check(idx)
-        return steering_matrix(self.array, self.angles[idx.p - 1], self.radii[idx.p - 1, idx.q - 1])
-
     def codewords_at(self, indices) -> np.ndarray:
-        """(len(indices), N) array whose row i is codeword(indices[i]) bit for
-        bit, made by one steering_matrix call."""
+        """(len(indices), N) array whose row i is the steering vector of
+        codeword indices[i], a new array made by one steering_matrix call."""
         for idx in indices:
             self._check(idx)
         p = np.array([idx.p - 1 for idx in indices], dtype=int)
@@ -133,10 +128,6 @@ class PolarCodebook:
     def codewords(self) -> np.ndarray:
         """(P, Q, N) array of the whole grid, made by one steering_matrix call."""
         return steering_matrix(self.array, self.angles[:, None], self.radii)
-
-    def location(self, idx: CodewordIndex) -> PolarCoord:
-        self._check(idx)
-        return PolarCoord(float(self.angles[idx.p - 1]), float(self.radii[idx.p - 1, idx.q - 1]))
 
     def flat(self) -> np.ndarray:
         """(P*Q, N) array of the codewords, row-major in (p, q)."""
@@ -166,14 +157,6 @@ class AuxiliaryGrid:
     radii: np.ndarray  # (R, S)
     r_count: int
     s_count: int
-
-    def point(self, r: int, s: int) -> PolarCoord:
-        """Location of the (r, s)th auxiliary point (0-based indices)."""
-        return PolarCoord(float(self.angles[r]), float(self.radii[r, s]))
-
-    def locations(self) -> list[PolarCoord]:
-        """All R*S points, row-major."""
-        return [self.point(r, s) for r in range(self.r_count) for s in range(self.s_count)]
 
 
 def grid_angle(n_bs: int, p, r_count: int = 1) -> np.ndarray:
@@ -487,8 +470,8 @@ def approximate_channel_matrices(
 ) -> list[np.ndarray]:
     """Per-user stacks of steering vectors at the auxiliary points.
 
-    Returns one (R*S, N) array per grid, rows ordered row-major like
-    AuxiliaryGrid.locations(); these act as the surrogate channel support for
+    Returns one (R*S, N) array per grid, row r*S + s the steering vector at
+    (angles[r], radii[r, s]); these act as the surrogate channel support for
     imperfect-CSI design.
     """
     if not grids:

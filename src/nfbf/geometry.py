@@ -1,11 +1,11 @@
-"""Uniform linear array geometry: coordinates, element distances, steering vectors.
+"""Uniform linear array geometry: locations, element distances, steering vectors.
 
 The array lies on the x axis, centered at the origin, with antenna n (1-based)
 at x = spacing * gamma_n where gamma_n = n - (N+1)/2. Locations in front of the
-array are described either in Cartesian (x, y) or polar (angle, radius) form,
-with the angle measured from the broadside (y) axis. All distances default to
-units of one wavelength (wavelength=1.0); pass a physical wavelength to work in
-meters.
+array are polar (angle, radius), with the angle measured from the broadside
+(y) axis, so a location sits at x = radius sin(angle), y = radius cos(angle).
+All distances default to units of one wavelength (wavelength=1.0); pass a
+physical wavelength to work in meters.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ class ArrayConfig:
     spacing: float | None = None
 
     def __post_init__(self):
-        if self.n_bs < 2:
+        if not self.n_bs >= 2:
             raise ValueError("n_bs must be >= 2")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if not 0 < self.wavelength < np.inf:
+            raise ValueError("wavelength must be positive and finite")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("spacing must be positive and finite")
 
     def offsets(self) -> np.ndarray:
         """Signed element offsets gamma_n = n - (N+1)/2 for n = 1..N (sum to 0)."""
@@ -48,28 +48,8 @@ class PolarCoord:
     def __post_init__(self):
         if not (-np.pi / 2 <= self.angle < np.pi / 2):
             raise ValueError("angle must lie in [-pi/2, pi/2)")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
-class CartesianCoord:
-    x: float
-    y: float
-
-
-def polar_to_cartesian(p: PolarCoord) -> CartesianCoord:
-    """(angle, radius) -> (x, y) with x = r sin(angle), y = r cos(angle)."""
-    return CartesianCoord(p.radius * np.sin(p.angle), p.radius * np.cos(p.angle))
-
-
-def cartesian_to_polar(c: CartesianCoord) -> PolarCoord:
-    """(x, y) -> (angle, radius); requires y > 0 (in front of the array)."""
-    if c.x == 0.0 and c.y == 0.0:
-        raise ValueError("origin has no polar representation")
-    if c.y <= 0:
-        raise ValueError("location must satisfy y > 0")
-    return PolarCoord(np.arctan2(c.x, c.y), float(np.hypot(c.x, c.y)))
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
 
 def element_distances(cfg: ArrayConfig, angle, radius) -> np.ndarray:
@@ -84,17 +64,11 @@ def element_distances(cfg: ArrayConfig, angle, radius) -> np.ndarray:
     return np.sqrt(r * r + g * g - 2.0 * g * r * sin_a)
 
 
-def element_distance(cfg: ArrayConfig, p: PolarCoord, n: int) -> float:
-    """Distance from location p to antenna n (1-based, 1 <= n <= N)."""
-    if not 1 <= n <= cfg.n_bs:
-        raise ValueError("antenna index out of range")
-    return float(element_distances(cfg, p.angle, p.radius)[n - 1])
-
-
 def steering_matrix(cfg: ArrayConfig, angles, radii) -> np.ndarray:
     """Spherical-wave steering vectors for sources at (angles, radii).
 
-    Codewords, auxiliary stacks and beam patterns all come from this formula.
+    Channels, codewords, auxiliary stacks and beam patterns all come from this
+    formula.
     angles and radii broadcast; entry [..., n-1] of the broadcast shape + (N,)
     result is (1/sqrt(N)) exp(-j 2 pi dist_n / wavelength): unit norm, constant
     entry modulus 1/sqrt(N).
@@ -114,11 +88,6 @@ def steering_matrix(cfg: ArrayConfig, angles, radii) -> np.ndarray:
     np.multiply(np.cos(theta, out=out.real), scale, out=out.real)
     np.multiply(np.sin(theta, out=out.imag), scale, out=out.imag)
     return out
-
-
-def nearfield_steering(cfg: ArrayConfig, p: PolarCoord) -> np.ndarray:
-    """Spherical-wave steering vector for a source at p, shape (N,)."""
-    return steering_matrix(cfg, p.angle, p.radius)
 
 
 def farfield_steering(cfg: ArrayConfig, angle: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from .channel import (
     random_scenario,
 )
 from .codebook import DEFAULT_BETA, DEFAULT_N_DIS, PolarCodebook, beam_sweep, build_codebook
-from .geometry import ArrayConfig, PolarCoord, rayleigh_distance
+from .geometry import ArrayConfig, PolarCoord, rayleigh_distance, steering_matrix
 from .hbf import (
     SingularEffectiveChannelError,
     analog_beam_steering,
@@ -39,7 +39,6 @@ from .hbf import (
 from .metrics import (
     BeamformerMatrix,
     PowerModel,
-    beam_gain,
     beam_pattern_grid,
     noise_from_snr,
     sum_rate,
@@ -127,6 +126,9 @@ class ExperimentSpec:
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad:
             raise ValueError(f"unknown schemes: {bad}")
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ValueError(f"repeated schemes: {repeated}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.k < 1 or self.l < 1:
@@ -135,14 +137,17 @@ class ExperimentSpec:
         # in value_spec, before any codebook is built or trial drawn
         if self.n_dis < 1:
             raise ValueError("n_dis must be >= 1")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
         if self.r_count < 1 or self.s_count < 1:
             raise ValueError("r_count and s_count must be >= 1")
-        if not self.p > 0:
-            raise ValueError("p must be positive")
-        if not self.pilot_noise_factor >= 0:
-            raise ValueError("pilot_noise_factor must be nonnegative")
+        if not np.isfinite(self.snr_db):
+            raise ValueError("snr_db must be finite")
+        if not 0 < self.p < np.inf:
+            raise ValueError("p must be positive and finite")
+        if not 0 <= self.pilot_noise_factor < np.inf:
+            raise ValueError("pilot_noise_factor must be nonnegative and finite")
+        self.array_config()  # the array's own checks, likewise
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(n_bs=self.n_bs, wavelength=self.wavelength, spacing=self.spacing)
@@ -486,6 +491,9 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     radii = np.arange(10.0, 301.0, 10.0) * lam
     angle_rad = np.deg2rad(angles_deg)
     locs = scenario.user_locations()
+    # (K, N) steering vectors at the users; vecdot keeps the bits of each
+    # pair's u.conj() @ f, where a matrix product would not
+    at_users = steering_matrix(cfg, [loc.angle for loc in locs], [loc.radius for loc in locs])
 
     grids = {}
     gains = {}
@@ -499,11 +507,7 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
         for col in range(m.shape[1]):
             total += beam_pattern_grid(cfg, m[:, col], angle_rad, radii)
         grids[scheme] = total
-        g = np.empty((k, k))
-        for beam in range(k):
-            for j in range(k):
-                g[beam, j] = beam_gain(cfg, m[:, beam], locs[j])
-        gains[scheme] = g
+        gains[scheme] = np.abs(np.vecdot(at_users, m.T[:, None, :])) ** 2
     return BeamPatternResult(
         schemes=tuple(spec.schemes),
         angles_deg=angles_deg,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, PolarCoord, nearfield_steering, steering_matrix
+from .geometry import steering_matrix
 
 ANALOG_ONLY = "analog-only"
 HYBRID_COMPOSITE = "hybrid-composite"
@@ -55,8 +55,9 @@ class PowerModel:
     p_bb: float = 0.200
 
     def __post_init__(self):
-        if min(self.p_rf, self.p_ps, self.p_bb) < 0:
-            raise ValueError("power components must be nonnegative")
+        for name in ("p_rf", "p_ps", "p_bb"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def _matrix_of(f) -> np.ndarray:
@@ -97,12 +98,6 @@ def channel_sum_rates(hh: np.ndarray, f, p, sigma2) -> np.ndarray:
 def sum_rate(scenario, f, p: float, sigma2: float) -> float:
     """Sum of per-user achievable rates."""
     return float(channel_sum_rates(scenario.channel_matrix(), f, p, sigma2))
-
-
-def beam_gain(cfg: ArrayConfig, f_column: np.ndarray, location: PolarCoord) -> float:
-    """|u(location)^H f|^2; at most 1 for any unit-norm or analog column."""
-    u = nearfield_steering(cfg, location)
-    return float(np.abs(u.conj() @ np.asarray(f_column)) ** 2)
 
 
 def beam_pattern_grid(cfg, f_column, angle_grid, radius_grid) -> np.ndarray:

@@ -52,17 +52,18 @@ from .metrics import ANALOG_ONLY, BeamformerMatrix, conjugate_phase
 @dataclass(frozen=True)
 class MMConfig:
     """MM loop parameters: the leakage weight omega, the squared-step stop
-    epsilon and the iteration cap t_max."""
+    epsilon and the iteration cap t_max. epsilon = inf, the one non-finite
+    value any field takes, stops every column after one update."""
 
     omega: float = 1000.0
     epsilon: float = 1e-9
     t_max: int = 1000
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+        if not 0 <= self.omega < np.inf:
+            raise ValueError("omega must be nonnegative and finite")
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ValueError("epsilon must be positive (inf runs one update)")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
 

@@ -12,24 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import random_scenario, scenario_from_json, scenario_to_json
+from .channel import random_scenario
 from .codebook import CodewordIndex, auxiliary_points, beam_sweep, build_codebook
 from .geometry import (
     ArrayConfig,
-    CartesianCoord,
-    PolarCoord,
-    cartesian_to_polar,
-    element_distance,
+    element_distances,
     farfield_steering,
-    nearfield_steering,
-    polar_to_cartesian,
     rayleigh_distance,
     steering_matrix,
 )
 from . import hbf, mm
 from .harness import ExperimentSpec, run_experiment
 from .hbf import analog_beam_steering, effective_channel, hbf_wmmse, hbf_zf
-from .metrics import beam_gain, sum_rate
+from .metrics import beam_pattern_grid, sum_rate
 from .mm import MMConfig, aobf_imperfect_csi, aobf_perfect_csi
 
 MODULUS_TOL = 1e-9
@@ -47,45 +42,31 @@ class CheckResult:
         return f"{status:4s} {self.name}{suffix}"
 
 
-def _check_geometry_roundtrip(rng) -> str:
-    for _ in range(200):
-        p = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(0.1, 100.0))
-        c = polar_to_cartesian(p)
-        p2 = cartesian_to_polar(CartesianCoord(c.x, c.y))
-        if abs(p2.angle - p.angle) > 1e-12 or abs(p2.radius - p.radius) > 1e-12 * p.radius:
-            return f"roundtrip drift at {p}"
-    return ""
-
-
 def _check_distance_oracle(rng) -> str:
     cfg = ArrayConfig(n_bs=16)
+    g = cfg.spacing * cfg.offsets()
     for _ in range(200):
-        p = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1.0, 200.0))
-        n = int(rng.integers(1, cfg.n_bs + 1))
-        g = cfg.spacing * cfg.offsets()[n - 1]
-        c = polar_to_cartesian(p)
-        want = np.hypot(c.x - g, c.y)
-        got = element_distance(cfg, p, n)
-        if abs(got - want) > 1e-12 * max(1.0, want):
-            return f"distance mismatch {got} vs {want}"
+        angle, radius = rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1.0, 200.0)
+        x, y = radius * np.sin(angle), radius * np.cos(angle)
+        want = np.hypot(x - g, y)
+        got = element_distances(cfg, angle, radius)
+        if np.max(np.abs(got - want) / np.maximum(1.0, want)) > 1e-12:
+            return f"distance mismatch at ({angle}, {radius})"
     return ""
 
 
 def _check_steering_invariants(rng) -> str:
     cfg = ArrayConfig(n_bs=32)
-    want = 1.0 / np.sqrt(cfg.n_bs)
-    for _ in range(50):
-        p = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1.0, 500.0))
-        u = nearfield_steering(cfg, p)
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            return "near-field norm off"
-        if np.max(np.abs(np.abs(u) - want)) > 1e-12:
-            return "near-field modulus off"
-        v = farfield_steering(cfg, p.angle)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    angles = rng.uniform(-np.pi / 2, np.pi / 2, 50)
+    u = steering_matrix(cfg, angles, rng.uniform(1.0, 500.0, 50))
+    if np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)) > 1e-12:
+        return "near-field norm off"
+    if np.max(np.abs(np.abs(u) - 1.0 / np.sqrt(cfg.n_bs))) > 1e-12:
+        return "near-field modulus off"
+    for angle in angles:
+        if abs(np.linalg.norm(farfield_steering(cfg, angle)) - 1.0) > 1e-12:
             return "far-field norm off"
-    far = PolarCoord(0.3, 1e4 * rayleigh_distance(cfg))
-    u = nearfield_steering(cfg, far)
+    u = steering_matrix(cfg, 0.3, 1e4 * rayleigh_distance(cfg))
     v = farfield_steering(cfg, 0.3)
     phase = np.angle(u * v.conj())
     if np.max(np.abs(phase - phase.mean())) > 1e-3:
@@ -96,13 +77,11 @@ def _check_steering_invariants(rng) -> str:
 def _check_codebook_self_selection(rng) -> str:
     cfg = ArrayConfig(n_bs=8)
     cb = build_codebook(cfg, n_dis=6, beta=1.6)
-    for p in range(1, cfg.n_bs + 1):
-        for q in range(1, cb.n_dis + 1):
-            idx = CodewordIndex(p, q)
-            h = np.sqrt(cfg.n_bs) * cb.codeword(idx)
-            got = beam_sweep(cb, h)
-            if got != idx:
-                return f"self-selection failed at {idx}: got {got}"
+    indices = [CodewordIndex(p, q) for p in range(1, cfg.n_bs + 1) for q in range(1, cb.n_dis + 1)]
+    for idx, word in zip(indices, cb.codewords_at(indices)):
+        got = beam_sweep(cb, np.sqrt(cfg.n_bs) * word)
+        if got != idx:
+            return f"self-selection failed at {idx}: got {got}"
     return ""
 
 
@@ -127,10 +106,10 @@ def _check_codebook_mirror(rng) -> str:
             return f"basis differences of N = {n} stray beyond their bound from the whole grid's"
         if not np.array_equal(whole[half:], whole[: n - half][::-1, :, ::-1]):
             return f"bins {half + 1}..{n} of N = {n} are not their mirrors reversed"
-        for p in (1, half, half + 1, 40, n):
-            for q in (1, 17, 40):
-                if not np.array_equal(cb.codeword(CodewordIndex(p, q)), whole[p - 1, q - 1]):
-                    return f"codeword ({p}, {q}) of N = {n} differs from the whole grid's"
+        picked = [CodewordIndex(p, q) for p in (1, half, half + 1, 40, n) for q in (1, 17, 40)]
+        for idx, word in zip(picked, cb.codewords_at(picked)):
+            if not np.array_equal(word, whole[idx.p - 1, idx.q - 1]):
+                return f"codeword ({idx.p}, {idx.q}) of N = {n} differs from the whole grid's"
         flat = whole.reshape(-1, n)
         for seed in range(3):
             for u in random_scenario(cfg, 4, 3, seed=seed).users:
@@ -163,10 +142,6 @@ def _check_channel_determinism(rng) -> str:
     for ua, ub in zip(a.users, b.users):
         if not np.array_equal(ua.vector, ub.vector):
             return "same seed produced different channels"
-    c = scenario_from_json(scenario_to_json(a))
-    for ua, uc in zip(a.users, c.users):
-        if np.max(np.abs(ua.vector - uc.vector)) > 1e-12:
-            return "JSON roundtrip drift"
     return ""
 
 
@@ -179,10 +154,11 @@ def _check_metric_invariants(rng) -> str:
     if abs(sum_rate(scen, rot, 1.0, 0.01) - base) > 1e-9:
         return "sum rate not phase invariant"
     for _ in range(50):
-        loc = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1.0, 30.0))
         col = rng.standard_normal(cfg.n_bs) + 1j * rng.standard_normal(cfg.n_bs)
         col /= np.linalg.norm(col)
-        if beam_gain(cfg, col, loc) > 1.0 + 1e-12:
+        gains = beam_pattern_grid(cfg, col, rng.uniform(-np.pi / 2, np.pi / 2, 5),
+                                  rng.uniform(1.0, 30.0, 5))
+        if np.max(gains) > 1.0 + 1e-12:
             return "beam gain above 1"
     return ""
 
@@ -314,7 +290,6 @@ def _check_all_schemes_emit_valid_beamformers(rng) -> str:
 def run_selftest(seed: int = 0) -> list[CheckResult]:
     """Run every invariant check; returns one result per check."""
     checks = [
-        ("geometry-roundtrip", _check_geometry_roundtrip),
         ("geometry-distance-oracle", _check_distance_oracle),
         ("geometry-steering-invariants", _check_steering_invariants),
         ("codebook-self-selection", _check_codebook_self_selection),

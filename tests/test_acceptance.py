@@ -12,7 +12,7 @@ import numpy as np
 
 from nfbf.channel import random_scenario
 from nfbf.codebook import CodewordIndex, beam_sweep, build_codebook
-from nfbf.geometry import ArrayConfig, PolarCoord, element_distances, polar_to_cartesian
+from nfbf.geometry import ArrayConfig, PolarCoord, element_distances
 from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
 from nfbf.mm import MMConfig, aobf_perfect_csi
 from oracles import mm_update_perfect
@@ -216,12 +216,14 @@ def test_criterion_8_oracle_equivalences():
     cb = build_codebook(cfg, n_dis=20)
     rng = np.random.default_rng(2024)
     sweep_ok = True
+    every = [CodewordIndex(p, q) for p in range(1, 17) for q in range(1, 21)]
+    words = dict(zip(every, cb.codewords_at(every)))
     for _ in range(100):
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         best, best_idx = -1.0, None
         for p in range(1, 17):
             for q in range(1, 21):
-                score = abs(np.vdot(h, cb.codeword(CodewordIndex(p, q))))
+                score = abs(np.vdot(h, words[CodewordIndex(p, q)]))
                 if score > best:
                     best, best_idx = score, CodewordIndex(p, q)
         if beam_sweep(cb, h) != best_idx:
@@ -239,9 +241,9 @@ def test_criterion_8_oracle_equivalences():
             float(rng.uniform(3.0 * lam, 3000.0 * lam)),
         )
         got = element_distances(c, loc.angle, loc.radius)
-        pt = polar_to_cartesian(loc)
+        x, y = loc.radius * np.sin(loc.angle), loc.radius * np.cos(loc.angle)
         xs = c.spacing * c.offsets()
-        want = np.hypot(pt.x - xs, pt.y)
+        want = np.hypot(x - xs, y)
         dist_err = max(
             dist_err, float(np.max(np.abs(got - want) / np.maximum(1.0, want)))
         )

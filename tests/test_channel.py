@@ -6,16 +6,18 @@ from nfbf.channel import (
     PathComponent,
     make_user_channel,
     random_scenario,
-    scenario_from_json,
-    scenario_to_json,
-    synthesize_channel,
 )
-from nfbf.geometry import ArrayConfig, PolarCoord, nearfield_steering, rayleigh_distance
+from nfbf.geometry import ArrayConfig, PolarCoord, rayleigh_distance, steering_matrix
+
+
+def steering(cfg, loc):
+    """The steering vector at one location."""
+    return steering_matrix(cfg, loc.angle, loc.radius)
 
 
 def test_single_path_norm():
     cfg = ArrayConfig(n_bs=16)
-    h = synthesize_channel(cfg, [PathComponent(1.0 + 0j, PolarCoord(0.2, 10.0))])
+    h = make_user_channel(cfg, [PathComponent(1.0 + 0j, PolarCoord(0.2, 10.0))]).vector
     assert abs(np.linalg.norm(h) - 4.0) < 1e-12
 
 
@@ -24,8 +26,8 @@ def test_zero_gain_second_path():
     loc1 = PolarCoord(-0.3, 6.0)
     loc2 = PolarCoord(0.5, 3.0)
     a1 = 0.7 - 0.2j
-    h2 = synthesize_channel(cfg, [PathComponent(a1, loc1), PathComponent(0j, loc2)])
-    want = np.sqrt(8 / 2) * a1 * nearfield_steering(cfg, loc1)
+    h2 = make_user_channel(cfg, [PathComponent(a1, loc1), PathComponent(0j, loc2)]).vector
+    want = np.sqrt(8 / 2) * a1 * steering(cfg, loc1)
     assert np.max(np.abs(h2 - want)) < 1e-12
 
 
@@ -37,17 +39,17 @@ def test_term_by_term_oracle():
         g = complex(rng.standard_normal(), rng.standard_normal())
         loc = PolarCoord(rng.uniform(-1.5, 1.5), rng.uniform(3.0, 15.0))
         paths.append(PathComponent(g, loc))
-    h = synthesize_channel(cfg, paths)
+    h = make_user_channel(cfg, paths).vector
     want = np.zeros(8, dtype=complex)
     for p in paths:
-        want += p.gain * nearfield_steering(cfg, p.location)
+        want += p.gain * steering(cfg, p.location)
     want *= np.sqrt(8 / 3)
     assert np.max(np.abs(h - want)) < 1e-12
 
 
 def test_synthesize_empty_paths_error():
     with pytest.raises(ValueError):
-        synthesize_channel(ArrayConfig(n_bs=4), [])
+        make_user_channel(ArrayConfig(n_bs=4), [])
 
 
 def test_synthesis_linearity():
@@ -57,7 +59,8 @@ def test_synthesis_linearity():
         PathComponent(-0.2j, PolarCoord(-0.4, 7.0)),
     ]
     scaled = [PathComponent(3j * p.gain, p.location) for p in paths]
-    assert np.max(np.abs(synthesize_channel(cfg, scaled) - 3j * synthesize_channel(cfg, paths))) < 1e-12
+    h, h_scaled = (make_user_channel(cfg, ps).vector for ps in (paths, scaled))
+    assert np.max(np.abs(h_scaled - 3j * h)) < 1e-12
 
 
 def test_random_scenario_deterministic():
@@ -133,18 +136,23 @@ def test_expected_channel_power():
     assert abs(mean - want) / want < 0.05
 
 
-def test_scenario_json_roundtrip():
-    cfg = ArrayConfig(n_bs=16)
-    sc = random_scenario(cfg, 3, 3, seed=11)
-    back = scenario_from_json(scenario_to_json(sc))
-    assert back.seed == sc.seed
-    assert back.array == sc.array
-    for ua, ub in zip(sc.users, back.users):
-        assert np.max(np.abs(ua.vector - ub.vector)) < 1e-12
-
-
 def test_user_channel_vector_matches_paths():
     cfg = ArrayConfig(n_bs=8)
     paths = [PathComponent(0.3 + 1j, PolarCoord(0.0, 5.0))]
     uc = make_user_channel(cfg, paths)
-    assert np.max(np.abs(uc.vector - synthesize_channel(cfg, paths))) == 0.0
+    assert uc.paths == paths
+    assert np.array_equal(uc.vector, np.sqrt(8.0) * ((0.3 + 1j) * steering(cfg, paths[0].location)))
+
+
+@pytest.mark.parametrize("n", [16, 33, 64, 256])
+def test_one_steering_call_keeps_the_per_path_sum_bit_for_bit(n):
+    # one steering_matrix call makes each path's vector with the bits of its
+    # own call, and the terms are added in path order from the first
+    cfg = ArrayConfig(n_bs=n)
+    for seed in range(50):
+        for u in random_scenario(cfg, 4, 3, seed).users:
+            want = u.paths[0].gain * steering(cfg, u.paths[0].location)
+            for p in u.paths[1:]:
+                want += p.gain * steering(cfg, p.location)
+            want = np.sqrt(n / 3) * want
+            assert np.array_equal(u.vector.view(float), want.view(float))

@@ -181,6 +181,59 @@ def test_run_exits_2_on_a_bad_codebook_field(tmp_path, doc):
     assert "must be" in err, err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc, field", [
+    *(({name: bad}, name) for name in ("wavelength", "spacing", "beta", "snr_db", "p",
+                                       "pilot_noise_factor") for bad in (NAN, INF)),
+    ({"wavelength": -INF}, "wavelength"),
+    ({"snr_db": -INF}, "snr_db"),
+    ({"sweep": [0.0, NAN]}, "snr_db"),
+    ({"sweep": [INF]}, "snr_db"),
+    ({"experiment": "sumrate-vs-nbs", "sweep": [16, NAN]}, "nan"),
+    *(({"mm": {"omega": bad}}, "omega") for bad in (NAN, INF)),
+    *(({"mm": {"epsilon": bad}}, "epsilon") for bad in (NAN, -INF)),
+    *(({"power": {name: bad}}, name) for name in ("p_rf", "p_ps", "p_bb") for bad in (NAN, INF)),
+])
+def test_run_exits_2_on_a_non_finite_number(tmp_path, doc, field):
+    # each is rejected where the config is read or its sweep values cast,
+    # before any codebook is built or trial drawn
+    code, out, err = _run(["run", "--config", _write_config(tmp_path, **doc)])
+    assert code == 2 and out == ""
+    assert "error:" in err and field in err, err
+
+
+@pytest.mark.parametrize("command, experiment, value", [
+    ("run", "sumrate-vs-snr", "nan"),
+    ("run", "sumrate-vs-snr", "0,inf"),
+    ("run", "sumrate-vs-snr", "-inf"),
+    ("run", "sumrate-vs-nbs", "nan"),  # not swept there: the flag sets the field
+    ("pattern", "beam-pattern", "nan"),
+    ("pattern", "beam-pattern", "inf"),
+])
+def test_a_non_finite_snr_flag_exits_2(tmp_path, command, experiment, value):
+    cfg = _write_config(tmp_path, experiment=experiment,
+                        sweep=[16] if experiment == "sumrate-vs-nbs" else [])
+    code, out, err = _run([command, "--config", cfg, f"--snr-db={value}"])
+    assert code == 2 and out == ""
+    assert "snr_db must be finite" in err, err
+
+
+def test_a_non_finite_pattern_radius_exits_2(tmp_path):
+    cfg = _write_config(tmp_path, experiment="beam-pattern", pattern_locations=[[10.0, NAN]])
+    code, out, err = _run(["pattern", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "radius" in err, err
+
+
+def test_a_repeated_scheme_exits_2(tmp_path):
+    cfg = _write_config(tmp_path, schemes=["steer-perfect", "hbf-zf-perfect", "steer-perfect"])
+    code, out, err = _run(["run", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "repeated schemes: ['steer-perfect']" in err, err
+
+
 def _peak_rss_mb(src: str, *argv) -> float:
     """The peak RSS, in MB, of a child Python run with argv and src on its path."""
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

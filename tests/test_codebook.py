@@ -20,13 +20,7 @@ from nfbf.codebook import (
     ring_radius,
 )
 from nfbf.channel import random_scenario
-from nfbf.geometry import (
-    ArrayConfig,
-    PolarCoord,
-    nearfield_steering,
-    rayleigh_distance,
-    steering_matrix,
-)
+from nfbf.geometry import ArrayConfig, rayleigh_distance, steering_matrix
 from nfbf.hbf import analog_beam_steering
 from nfbf.mm import MMConfig, aobf_imperfect_csi
 
@@ -47,6 +41,11 @@ def assert_basis_within_its_bound(cb, whole):
     for got, want in zip((cb.sums, cb.diffs), whole_grid_basis(whole)):
         assert got.dtype == np.complex64 and got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+def codeword(cb, idx):
+    """Codeword idx from its own steering_matrix call at its grid point."""
+    return steering_matrix(cb.array, cb.angles[idx.p - 1], cb.radii[idx.p - 1, idx.q - 1])
 
 
 def test_grid_angle_first_bin_n4():
@@ -92,14 +91,10 @@ def test_build_codebook_shapes_and_locations():
     assert cb.radii.shape == (8, 6)
     assert cb.codewords.shape == (8, 6, 8)
     assert np.all(np.diff(cb.radii, axis=1) < 0)
-    idx = CodewordIndex(p=3, q=2)
-    loc = cb.location(idx)
-    assert loc.angle == float(cb.angles[2])
-    assert loc.radius == float(cb.radii[2, 1])
     with pytest.raises(ValueError):
-        cb.codeword(CodewordIndex(p=0, q=1))
+        cb.codewords_at([CodewordIndex(p=0, q=1)])
     with pytest.raises(ValueError):
-        cb.codeword(CodewordIndex(p=1, q=7))
+        cb.codewords_at([CodewordIndex(p=1, q=7)])
     with pytest.raises(ValueError):
         build_codebook(cfg, n_dis=0)
     with pytest.raises(ValueError):
@@ -111,8 +106,8 @@ def test_codewords_are_steering_vectors():
     cb = build_codebook(cfg, n_dis=10)
     for p, q in [(1, 1), (5, 3), (16, 10), (9, 7)]:
         idx = CodewordIndex(p=p, q=q)
-        want = nearfield_steering(cfg, cb.location(idx))
-        assert np.allclose(cb.codeword(idx), want, rtol=0, atol=1e-14)
+        (word,) = cb.codewords_at([idx])
+        assert np.allclose(word, codeword(cb, idx), rtol=0, atol=1e-14)
     # every codeword keeps the analog constant modulus
     assert np.allclose(np.abs(cb.codewords), 1.0 / 4.0, rtol=0, atol=1e-12)
 
@@ -129,9 +124,9 @@ def test_codewords_at_equals_per_index_codewords():
             rows = cb.codewords_at(batch)
             assert rows.shape == (len(batch), n)
             for row, idx in zip(rows, batch):
-                assert np.array_equal(row, cb.codeword(idx)), (n, idx)
+                assert np.array_equal(row, codeword(cb, idx)), (n, idx)
             cols = analog_beam_steering("imperfect", cb=cb, indices=batch).matrix
-            assert np.array_equal(cols, np.stack([cb.codeword(idx) for idx in batch], axis=1))
+            assert np.array_equal(cols, np.stack([codeword(cb, idx) for idx in batch], axis=1))
             assert cols.flags.c_contiguous
     assert cb.codewords_at([]).shape == (0, 256)
     for bad in (CodewordIndex(0, 1), CodewordIndex(257, 1), CodewordIndex(1, 41)):
@@ -177,8 +172,8 @@ def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
     assert_basis_within_its_bound(cb, whole)
     assert np.array_equal(cb.codewords, whole)
     assert np.array_equal(cb.flat(), whole.reshape(-1, n))
-    for p in range(n):
-        assert np.array_equal(cb.codeword(CodewordIndex(p + 1, 5)), whole[p, 4])
+    assert np.array_equal(cb.codewords_at([CodewordIndex(p + 1, 5) for p in range(n)]),
+                          whole[:, 4])
 
 
 def test_every_small_grid_equals_one_whole_grid_steering_call():
@@ -205,13 +200,13 @@ def test_codebook_is_read_only():
     # grid, reaches neither the codebook nor the next codeword of any bin, bin 12
     # the mirror of bin 5 included
     for p in (5, 12):
-        word = cb.codeword(CodewordIndex(p, 2))
+        word = cb.codewords_at([CodewordIndex(p, 2)])
         word[:] = 0.0
-        assert np.all(np.abs(cb.codeword(CodewordIndex(p, 2))) > 0)
+        assert np.all(np.abs(cb.codewords_at([CodewordIndex(p, 2)])) > 0)
     grid = cb.codewords
     grid[:] = 0.0
     assert np.all(np.abs(cb.codewords) > 0)
-    h = nearfield_steering(cb.array, cb.location(CodewordIndex(12, 2)))
+    h = codeword(cb, CodewordIndex(12, 2))
     assert beam_sweep(cb, h) == CodewordIndex(12, 2)
 
 
@@ -279,7 +274,7 @@ def test_flat_is_row_major_in_p_then_q():
     k = 0
     for p in range(1, 5):
         for q in range(1, 4):
-            assert np.array_equal(flat[k], cb.codeword(CodewordIndex(p, q)))
+            assert np.array_equal(flat[k], codeword(cb, CodewordIndex(p, q)))
             k += 1
 
 
@@ -290,7 +285,7 @@ def test_beam_sweep_self_selection():
     for p in range(1, 9):
         for q in range(1, 7):
             idx = CodewordIndex(p, q)
-            h = np.sqrt(8.0) * cb.codeword(idx)
+            h = np.sqrt(8.0) * codeword(cb, idx)
             assert beam_sweep(cb, h) == idx
 
 
@@ -303,7 +298,7 @@ def test_beam_sweep_exhaustive_oracle():
         best, best_idx = -1.0, None
         for p in range(1, 9):
             for q in range(1, 6):
-                score = abs(np.vdot(h, cb.codeword(CodewordIndex(p, q))))
+                score = abs(np.vdot(h, codeword(cb, CodewordIndex(p, q))))
                 if score > best:
                     best, best_idx = score, CodewordIndex(p, q)
         assert beam_sweep(cb, h) == best_idx
@@ -315,9 +310,9 @@ def test_beam_sweep_tie_breaks_to_first():
     for n in (4, 16, 33, 63, 64, 100):
         cfg = ArrayConfig(n_bs=n)
         cb = build_codebook(cfg, n_dis=8)
-        broadside = nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[n // 2, 2])))
+        broadside = steering_matrix(cfg, 0.0, float(cb.radii[n // 2, 2]))
         # a codeword plus its mirror, whose best pair is not the odd middle bin
-        pair = cb.codeword(CodewordIndex(2, 5)) + cb.codeword(CodewordIndex(n - 1, 5))
+        pair = codeword(cb, CodewordIndex(2, 5)) + codeword(cb, CodewordIndex(n - 1, 5))
         for h in (broadside, pair):
             assert np.array_equal(h, h[::-1])
             # the full grid's product sums each pair in a different order, so
@@ -369,9 +364,9 @@ def sweep_channels(cb, seeds):
     users = [u.vector for seed in seeds for u in random_scenario(cfg, 4, 3, seed=seed).users]
     rng = np.random.default_rng(n)
     return users + [
-        nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[n // 2, 3]))),
+        steering_matrix(cfg, 0.0, float(cb.radii[n // 2, 3])),
         rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        np.sqrt(n) * cb.codeword(CodewordIndex(n // 3 + 1, 7)),
+        np.sqrt(n) * codeword(cb, CodewordIndex(n // 3 + 1, 7)),
         users[0] * 1e-30,
         users[1] * 1e30,
     ]
@@ -442,7 +437,7 @@ def test_sweep_rescores_only_several_candidates(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     user = random_scenario(cfg, 4, 3, seed=7).users[0].vector
     best = int(np.argmax(np.abs(cb.flat() @ user.conj())))
-    broadside = nearfield_steering(cfg, PolarCoord(0.0, float(cb.radii[32, 3])))
+    broadside = steering_matrix(cfg, 0.0, float(cb.radii[32, 3]))
     # bins 32 and 33 flank broadside and tie exactly; the smaller p wins
     for h, rescores, want in ((user, 0, CodewordIndex(best // 320 + 1, best % 320 + 1)),
                               (broadside, 1, CodewordIndex(32, 4))):
@@ -539,17 +534,18 @@ def test_auxiliary_radii_positive_and_ordered():
 
 
 def test_auxiliary_grid_locations_row_major():
+    # the R*S points of a grid run row-major: row r*S + s of its steering
+    # stack is the point (angles[r], radii[r, s]), bit for bit
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=10)
     grid = auxiliary_points(cb, CodewordIndex(p=5, q=4), r_count=2, s_count=3)
-    locs = grid.locations()
-    assert len(locs) == 6
+    assert grid.angles.shape == (2,) and grid.radii.shape == (2, 3)
+    (mat,) = approximate_channel_matrices(cb, [grid])
+    assert mat.shape == (6, 16)
     k = 0
     for r in range(2):
         for s in range(3):
-            assert locs[k] == grid.point(r, s)
-            assert locs[k].angle == float(grid.angles[r])
-            assert locs[k].radius == float(grid.radii[r, s])
+            assert np.array_equal(mat[k], steering_matrix(cfg, grid.angles[r], grid.radii[r, s]))
             k += 1
 
 
@@ -563,10 +559,9 @@ def test_approximate_channel_matrices_pointwise():
     assert mats[0].shape == (4, 16)
     assert mats[1].shape == (3, 16)
     for mat, grid in zip(mats, [g1, g2]):
-        for row, loc in zip(mat, grid.locations()):
-            assert np.allclose(
-                row, nearfield_steering(cfg, loc), rtol=0, atol=1e-13
-            )
+        for row, (r, s) in zip(mat, np.ndindex(grid.r_count, grid.s_count), strict=True):
+            want = steering_matrix(cfg, grid.angles[r], grid.radii[r, s])
+            assert np.allclose(row, want, rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
         approximate_channel_matrices(cb, [])
 
@@ -601,7 +596,7 @@ def test_default_codebook_spans_near_field():
 def test_sweep_rejects_a_grid_only_codebook():
     cfg = ArrayConfig(n_bs=16)
     cb = build_codebook(cfg, n_dis=10)
-    h = nearfield_steering(cfg, cb.location(CodewordIndex(3, 4)))
+    h = codeword(cb, CodewordIndex(3, 4))
     for grid in (cb.without_basis(), codebook_grid(cfg, n_dis=10)):
         with pytest.raises(ValueError, match="without its sweep basis"):
             beam_sweep(grid, h)

@@ -3,14 +3,9 @@ import pytest
 
 from nfbf.geometry import (
     ArrayConfig,
-    CartesianCoord,
     PolarCoord,
-    cartesian_to_polar,
-    element_distance,
     element_distances,
     farfield_steering,
-    nearfield_steering,
-    polar_to_cartesian,
     rayleigh_distance,
     steering_matrix,
 )
@@ -32,6 +27,11 @@ def test_array_config_validation():
         ArrayConfig(n_bs=4, wavelength=0.0)
     with pytest.raises(ValueError):
         ArrayConfig(n_bs=4, spacing=-0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="wavelength"):
+            ArrayConfig(n_bs=4, wavelength=bad)
+        with pytest.raises(ValueError, match="spacing"):
+            ArrayConfig(n_bs=4, spacing=bad)
 
 
 def test_polar_coord_validation():
@@ -39,56 +39,29 @@ def test_polar_coord_validation():
         PolarCoord(np.pi / 2, 1.0)  # half-open interval
     with pytest.raises(ValueError):
         PolarCoord(0.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="angle"):
+            PolarCoord(bad, 1.0)
+        with pytest.raises(ValueError, match="radius"):
+            PolarCoord(0.0, bad)
 
 
 def test_polar_to_cartesian_broadside():
-    c = polar_to_cartesian(PolarCoord(0.0, 5.0))
-    assert c.x == 0.0
-    assert c.y == 5.0
+    # a location (angle, radius) sits at x = radius sin(angle), y = radius
+    # cos(angle): at broadside (0, 5) is (0, 5), 5 from the middle antenna
+    cfg = ArrayConfig(n_bs=5)
+    x_n = cfg.spacing * cfg.offsets()
+    d = element_distances(cfg, 0.0, 5.0)
+    assert d[2] == 5.0
+    assert np.allclose(d, np.hypot(x_n, 5.0), rtol=0, atol=1e-13)
 
 
 def test_polar_to_cartesian_thirty_degrees():
-    # direct trigonometric evaluation: (pi/6, 2) -> (1, sqrt(3))
-    c = polar_to_cartesian(PolarCoord(np.pi / 6, 2.0))
-    assert abs(c.x - 1.0) < 1e-12
-    assert abs(c.y - 1.7320508075688772) < 1e-12
-
-
-def test_cartesian_to_polar_examples():
-    p = cartesian_to_polar(CartesianCoord(0.0, 5.0))
-    assert p.angle == 0.0
-    assert p.radius == 5.0
-    p = cartesian_to_polar(CartesianCoord(1.0, 1.7320508075688772))
-    assert abs(p.angle - np.pi / 6) < 1e-12
-    assert abs(p.radius - 2.0) < 1e-12
-
-
-def test_cartesian_to_polar_mirror_symmetry():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        x = rng.uniform(-10, 10)
-        y = rng.uniform(0.1, 10)
-        a = cartesian_to_polar(CartesianCoord(x, y))
-        b = cartesian_to_polar(CartesianCoord(-x, y))
-        assert abs(a.angle + b.angle) < 1e-12
-        assert abs(a.radius - b.radius) < 1e-12
-
-
-def test_cartesian_to_polar_errors():
-    with pytest.raises(ValueError):
-        cartesian_to_polar(CartesianCoord(0.0, 0.0))
-    with pytest.raises(ValueError):
-        cartesian_to_polar(CartesianCoord(1.0, -2.0))
-
-
-def test_roundtrip_random():
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        p = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1e-3, 1e3))
-        c = polar_to_cartesian(p)
-        p2 = cartesian_to_polar(CartesianCoord(c.x, c.y))
-        assert abs(p2.angle - p.angle) <= 1e-12 * max(1.0, abs(p.angle))
-        assert abs(p2.radius - p.radius) <= 1e-12 * p.radius
+    # direct trigonometric evaluation: (pi/6, 2) is (1, sqrt(3))
+    cfg = ArrayConfig(n_bs=8)
+    x_n = cfg.spacing * cfg.offsets()
+    d = element_distances(cfg, np.pi / 6, 2.0)
+    assert np.allclose(d, np.hypot(1.0 - x_n, 1.7320508075688772), rtol=0, atol=1e-12)
 
 
 def test_element_distance_broadside_symmetry():
@@ -103,20 +76,18 @@ def test_element_distance_broadside_symmetry():
 
 def test_element_distance_center_element_odd_array():
     cfg = ArrayConfig(n_bs=5)
-    p = PolarCoord(0.4, 9.0)
-    assert abs(element_distance(cfg, p, 3) - 9.0) < 1e-12  # gamma_3 = 0
+    assert abs(element_distances(cfg, 0.4, 9.0)[2] - 9.0) < 1e-12  # gamma_3 = 0
 
 
 def test_element_distance_cartesian_oracle():
+    # the oracle places the source at x = r sin(angle), y = r cos(angle)
     rng = np.random.default_rng(2)
     cfg = ArrayConfig(n_bs=16)
+    g = cfg.spacing * cfg.offsets()
     for _ in range(300):
-        p = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1.0, 2000.0))
-        n = int(rng.integers(1, 17))
-        c = polar_to_cartesian(p)
-        g = cfg.spacing * cfg.offsets()[n - 1]
-        want = np.hypot(c.x - g, c.y)
-        assert abs(element_distance(cfg, p, n) - want) <= 1e-12 * want
+        angle, radius = rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(1.0, 2000.0)
+        want = np.hypot(radius * np.sin(angle) - g, radius * np.cos(angle))
+        assert np.all(np.abs(element_distances(cfg, angle, radius) - want) <= 1e-12 * want)
 
 
 def test_steering_matrix_matches_cartesian_oracle():
@@ -141,13 +112,9 @@ def test_steering_matrix_matches_cartesian_oracle():
             assert u.shape == shape + (cfg.n_bs,)
             a_b, r_b = np.broadcast_arrays(a, r)
             for idx in np.ndindex(shape):
-                p = PolarCoord(float(a_b[idx]), float(r_b[idx]))
-                c = polar_to_cartesian(p)
-                want = np.exp(-2j * np.pi * np.hypot(c.x - x_n, c.y) / lam) / np.sqrt(cfg.n_bs)
+                x, y = r_b[idx] * np.sin(a_b[idx]), r_b[idx] * np.cos(a_b[idx])
+                want = np.exp(-2j * np.pi * np.hypot(x - x_n, y) / lam) / np.sqrt(cfg.n_bs)
                 assert np.max(np.abs(u[idx] - want)) <= 1e-12
-                assert np.array_equal(
-                    nearfield_steering(cfg, p), steering_matrix(cfg, p.angle, p.radius)
-                )
 
 
 @pytest.mark.parametrize("wavelength", [1.0, 0.01])  # 0.01 divides on the complex path
@@ -196,29 +163,18 @@ def test_steering_kernel_matches_the_complex_exp_formula_bit_for_bit(n, waveleng
         assert np.array_equal(steering_matrix(cfg, a, r).view(float), want.view(float))
 
 
-def test_element_distance_index_bounds():
-    cfg = ArrayConfig(n_bs=4)
-    p = PolarCoord(0.0, 5.0)
-    with pytest.raises(ValueError):
-        element_distance(cfg, p, 0)
-    with pytest.raises(ValueError):
-        element_distance(cfg, p, 5)
-
-
 def test_nearfield_steering_invariants():
     rng = np.random.default_rng(3)
     cfg = ArrayConfig(n_bs=64)
     for _ in range(20):
-        p = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(3.0, 2048.0))
-        u = nearfield_steering(cfg, p)
+        u = steering_matrix(cfg, rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(3.0, 2048.0))
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
         assert np.max(np.abs(np.abs(u) - 1 / 8.0)) < 1e-12
 
 
 def test_nearfield_matched_filter_gain():
     cfg = ArrayConfig(n_bs=32)
-    p = PolarCoord(-0.5, 40.0)
-    u = nearfield_steering(cfg, p)
+    u = steering_matrix(cfg, -0.5, 40.0)
     f = np.exp(1j * np.angle(u)) / np.sqrt(cfg.n_bs)
     assert abs(np.abs(u.conj() @ f) ** 2 - 1.0) < 1e-12
 
@@ -230,7 +186,7 @@ def test_nearfield_converges_to_farfield():
     v = farfield_steering(cfg, angle)
     prev = None
     for mult in (10.0, 1e2, 1e3, 1e4):
-        u = nearfield_steering(cfg, PolarCoord(angle, mult * d_r))
+        u = steering_matrix(cfg, angle, mult * d_r)
         phase = np.angle(u * v.conj())
         dev = float(np.max(np.abs(phase - phase.mean())))
         if prev is not None:

@@ -14,6 +14,7 @@ import nfbf.codebook
 import nfbf.harness
 from nfbf.channel import random_scenario
 from nfbf.cli import main
+from nfbf.geometry import steering_matrix
 from nfbf.harness import (
     CSV_HEADER,
     DEFAULT_AUX_SWEEP,
@@ -31,6 +32,7 @@ from nfbf.harness import (
     spec_from_dict,
     value_spec,
 )
+from nfbf.hbf import analog_beam_steering
 from nfbf.metrics import PowerModel, noise_from_snr, total_power
 
 
@@ -455,6 +457,13 @@ def test_run_beam_pattern_grids_and_gains():
         for j in range(3):
             if j != beam:
                 assert g[beam, j] < g[beam, beam]
+    # each gain keeps the bits of its own pair's product u_j^H f_beam
+    sc = pattern_scenario(spec)
+    f = analog_beam_steering("perfect", scenario=sc).matrix
+    for j, loc in enumerate(sc.user_locations()):
+        u = steering_matrix(sc.array, loc.angle, loc.radius)
+        for beam in range(3):
+            assert g[beam, j] == np.abs(u.conj() @ f[:, beam]) ** 2
     csv_text = res.to_csv()
     lines = csv_text.splitlines()
     assert lines[0] == "scheme,angle_deg,radius,gain_db"

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from nfbf.channel import PathComponent, Scenario, make_user_channel
-from nfbf.geometry import ArrayConfig, PolarCoord, nearfield_steering
+from nfbf.geometry import ArrayConfig, PolarCoord, steering_matrix
 from nfbf.metrics import (
     ANALOG_ONLY,
     HYBRID_COMPOSITE,
     BeamformerMatrix,
     PowerModel,
-    beam_gain,
     beam_pattern_grid,
     noise_from_snr,
     sum_rate,
@@ -53,7 +52,7 @@ def test_sinr_single_user_reduces_to_snr():
     cfg = ArrayConfig(n_bs=8)
     loc = PolarCoord(0.3, 40.0)
     sc = _scenario(cfg, [loc])
-    f = nearfield_steering(cfg, loc)[:, None]
+    f = steering_matrix(cfg, loc.angle, loc.radius)[:, None]
     # matched filter: |h^H f|^2 = N * 1 (gain 1, prefactor sqrt(N))
     got = sinr(sc, f, 0, 1.0, 0.01)
     assert got == pytest.approx(8.0 / 0.01, rel=1e-12)
@@ -143,15 +142,13 @@ def test_beam_gain_cauchy_schwarz_bound():
     rng = np.random.default_rng(17)
     cfg = ArrayConfig(n_bs=32)
     for _ in range(50):
-        loc = PolarCoord(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(3.0, 500.0))
+        angles, radii = rng.uniform(-np.pi / 2, np.pi / 2, 3), rng.uniform(3.0, 500.0, 4)
         f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         f /= np.linalg.norm(f)
-        assert beam_gain(cfg, f, loc) <= 1.0 + 1e-12
+        assert np.max(beam_pattern_grid(cfg, f, angles, radii)) <= 1.0 + 1e-12
     # matched filter achieves the bound
-    loc = PolarCoord(-0.4, 25.0)
-    assert beam_gain(cfg, nearfield_steering(cfg, loc), loc) == pytest.approx(
-        1.0, rel=1e-12
-    )
+    f = steering_matrix(cfg, -0.4, 25.0)
+    assert beam_pattern_grid(cfg, f, [-0.4], [25.0])[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_beam_pattern_grid_matches_pointwise():
@@ -165,7 +162,7 @@ def test_beam_pattern_grid_matches_pointwise():
     assert grid.shape == (4, 3)
     for i, a in enumerate(angles):
         for j, r in enumerate(radii):
-            want = beam_gain(cfg, f, PolarCoord(float(a), float(r)))
+            want = abs(np.vdot(steering_matrix(cfg, a, r), f)) ** 2
             assert grid[i, j] == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         beam_pattern_grid(cfg, f, np.array([]), radii)
@@ -191,6 +188,10 @@ def test_energy_efficiency_favors_analog_front_end():
 def test_power_model_rejects_negative_component():
     with pytest.raises(ValueError):
         PowerModel(p_ps=-0.01)
+    for name in ("p_rf", "p_ps", "p_bb"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                PowerModel(**{name: bad})
 
 
 def test_beamformer_matrix_validation():

@@ -56,6 +56,12 @@ def test_mm_config_validation():
         MMConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         MMConfig(t_max=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            MMConfig(omega=bad)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            MMConfig(epsilon=bad)
 
 
 def test_slnr_objective_brute_force():
@@ -297,8 +303,8 @@ def test_imperfect_design_starts_at_codeword_and_descends():
     aux = approximate_channel_matrices(
         cb, [auxiliary_points(cb, i, 2, 2) for i in indices]
     )
-    for k, idx in enumerate(indices):
-        want = mm_update_imperfect(aux, cb.codeword(idx), k, mm)
+    for k, word in enumerate(cb.codewords_at(indices)):
+        want = mm_update_imperfect(aux, word, k, mm)
         assert np.array_equal(f1.matrix[:, k], want)
     # a full run descends and stays constant-modulus
     f2, rep2 = aobf_imperfect_csi(cb, indices, 2, 2, MMConfig())
@@ -356,7 +362,7 @@ def _swept_designs(seed, mm):
     perfect = (aobf_perfect_csi(sc, mm), list(hh.T), slnr_objective,
                [np.exp(1j * np.angle(h)) / 4.0 for h in hh.T])
     imperfect = (aobf_imperfect_csi(cb, indices, 2, 2, mm), aux, imperfect_objective,
-                 [cb.codeword(i) for i in indices])
+                 list(cb.codewords_at(indices)))
     return perfect, imperfect
 
 
@@ -485,7 +491,7 @@ def _regime_runs(n, seeds, rs_values, mm):
     for rs in rs_values:
         aux = [approximate_channel_matrices(cb, [auxiliary_points(cb, i, rs, rs) for i in idx])
                for idx in indices]
-        dense = [_dense_design(a, [cb.codeword(i) for i in idx], mm, "imperfect")
+        dense = [_dense_design(a, list(cb.codewords_at(idx)), mm, "imperfect")
                  for a, idx in zip(aux, indices)]
         runs.append(("imperfect", aobf_imperfect_csi(cb, indices, rs, rs, mm), dense, aux,
                      imperfect_objective))
