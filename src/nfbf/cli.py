@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=_cmd_run)
 
     sp = sub.add_parser("pattern", help="fixed-location beam patterns")
-    _add_common(sp, "config", "seed", "out", "snr_db", "n_bs")
+    _add_common(sp, "config", "out", "snr_db", "n_bs")
     sp.set_defaults(fn=_cmd_pattern)
 
     sp = sub.add_parser("codebook", help="export the polar codebook")

@@ -19,16 +19,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_RHO_MIN_WAVELENGTHS,
-    SCATTER_GAIN_VAR,
-    PathComponent,
-    Scenario,
-    make_user_channel,
-    random_scenario,
-)
+from .channel import PathComponent, Scenario, make_user_channel, random_scenario
 from .codebook import DEFAULT_BETA, DEFAULT_N_DIS, PolarCodebook, beam_sweep, build_codebook
-from .geometry import ArrayConfig, PolarCoord, rayleigh_distance, steering_matrix
+from .geometry import ArrayConfig, PolarCoord, steering_matrix
 from .hbf import (
     SingularEffectiveChannelError,
     analog_beam_steering,
@@ -115,7 +108,6 @@ class ExperimentSpec:
     mm: MMConfig = field(default_factory=MMConfig)
     power: PowerModel = field(default_factory=PowerModel)
     pilot_noise_factor: float = 1.0
-    pattern_random_paths: bool = False
     pattern_locations: tuple[tuple[float, float], ...] = DEFAULT_PATTERN_LOCATIONS
 
     def __post_init__(self):
@@ -141,10 +133,18 @@ class ExperimentSpec:
             raise ValueError("beta must be positive and finite")
         if self.r_count < 1 or self.s_count < 1:
             raise ValueError("r_count and s_count must be >= 1")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
         if not 0 < self.p < np.inf:
             raise ValueError("p must be positive and finite")
+        if not self.pattern_locations:
+            raise ValueError("pattern_locations must be nonempty")
+        users = len(self.pattern_locations) if self.experiment == "beam-pattern" else self.k
+        try:
+            sigma2 = noise_from_snr(self.p, users, self.snr_db)
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = 0.0
+        if not 0 < sigma2 < np.inf:  # NaN fails too
+            raise ValueError(f"snr_db must be finite and give a positive finite noise power, "
+                             f"got {self.snr_db!r}")
         if not 0 <= self.pilot_noise_factor < np.inf:
             raise ValueError("pilot_noise_factor must be nonnegative and finite")
         self.array_config()  # the array's own checks, likewise
@@ -438,34 +438,14 @@ class BeamPatternResult:
 
 
 def pattern_scenario(spec: ExperimentSpec) -> Scenario:
-    """Fixed-location scenario for beam-pattern runs.
-
-    Default: one deterministic unit-gain path per user at the configured
-    locations. With pattern_random_paths=True each user gets a random complex
-    gain on the fixed path plus two random scatterer paths (seeded).
-    """
+    """Fixed-location scenario for beam-pattern runs: one deterministic
+    unit-gain path per user at the configured locations."""
     cfg = spec.array_config()
-    lam = cfg.wavelength
-    locs = [
-        PolarCoord(np.deg2rad(a_deg), r_lam * lam) for a_deg, r_lam in spec.pattern_locations
+    users = [
+        make_user_channel(cfg, [PathComponent(1.0 + 0j, PolarCoord(np.deg2rad(a_deg),
+                                                                   r_lam * cfg.wavelength))])
+        for a_deg, r_lam in spec.pattern_locations
     ]
-    users = []
-    if not spec.pattern_random_paths:
-        for loc in locs:
-            users.append(make_user_channel(cfg, [PathComponent(1.0 + 0j, loc)]))
-    else:
-        rng = np.random.default_rng(spec.base_seed)
-        d_r = rayleigh_distance(cfg)
-        for loc in locs:
-            g0 = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            paths = [PathComponent(complex(g0), loc)]
-            for _ in range(2):
-                ang = rng.uniform(-np.pi / 2, np.pi / 2)
-                rad = rng.uniform(DEFAULT_RHO_MIN_WAVELENGTHS * lam, d_r)
-                gs = (np.sqrt(SCATTER_GAIN_VAR)
-                      * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2))
-                paths.append(PathComponent(complex(gs), PolarCoord(float(ang), float(rad))))
-            users.append(make_user_channel(cfg, paths))
     return Scenario(users=users, array=cfg, seed=spec.base_seed)
 
 
@@ -475,8 +455,7 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
         raise ValueError("spec.experiment must be beam-pattern")
     cfg = spec.array_config()
     scenario = pattern_scenario(spec)
-    k = scenario.k
-    sigma2 = noise_from_snr(spec.p, k, spec.snr_db)
+    sigma2 = noise_from_snr(spec.p, scenario.k, spec.snr_db)
     cb = build_codebook(cfg, spec.n_dis, spec.beta) if _needs_codebook(spec.schemes) else None
     aux = (spec.r_count, spec.s_count)
     chunk = [(scenario, _swept_indices(scenario, cb))]
@@ -486,28 +465,25 @@ def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
     table = _design_table(spec, chunk, cb, [(scheme, sigma2, aux) for scheme in spec.schemes],
                           0.0)
 
-    lam = cfg.wavelength
     angles_deg = np.arange(-90.0, 91.0, 1.0)
-    radii = np.arange(10.0, 301.0, 10.0) * lam
-    angle_rad = np.deg2rad(angles_deg)
+    radii = np.arange(10.0, 301.0, 10.0) * cfg.wavelength
     locs = scenario.user_locations()
     # (K, N) steering vectors at the users; vecdot keeps the bits of each
     # pair's u.conj() @ f, where a matrix product would not
     at_users = steering_matrix(cfg, [loc.angle for loc in locs], [loc.radius for loc in locs])
 
-    grids = {}
-    gains = {}
+    matrices = []
     for scheme in spec.schemes:
         (f,) = table[scheme, sigma2, aux]
         if isinstance(f, SingularEffectiveChannelError):
             raise f
         f.validate()
-        m = f.matrix
-        total = np.zeros((angles_deg.size, radii.size))
-        for col in range(m.shape[1]):
-            total += beam_pattern_grid(cfg, m[:, col], angle_rad, radii)
-        grids[scheme] = total
-        gains[scheme] = np.abs(np.vecdot(at_users, m.T[:, None, :])) ** 2
+        matrices.append(f.matrix)
+    # every scheme's (N, K) beamformer read on one steering grid
+    stacked = beam_pattern_grid(cfg, np.stack(matrices), np.deg2rad(angles_deg), radii)
+    grids = dict(zip(spec.schemes, stacked))
+    gains = {scheme: np.abs(np.vecdot(at_users, m.T[:, None, :])) ** 2
+             for scheme, m in zip(spec.schemes, matrices)}
     return BeamPatternResult(
         schemes=tuple(spec.schemes),
         angles_deg=angles_deg,

@@ -100,14 +100,27 @@ def sum_rate(scenario, f, p: float, sigma2: float) -> float:
     return float(channel_sum_rates(scenario.channel_matrix(), f, p, sigma2))
 
 
-def beam_pattern_grid(cfg, f_column, angle_grid, radius_grid) -> np.ndarray:
-    """Matrix of beam gains; entry (i, j) = gain at (angle_i, radius_j)."""
+def beam_pattern_grid(cfg, f, angle_grid, radius_grid) -> np.ndarray:
+    """Summed beam gains of an (N, C) beamformer, or of one (N,) column; entry
+    (i, j) = sum over columns f_c of |u(angle_i, radius_j)^H f_c|^2.
+
+    f may carry leading stack axes, one beamformer per item, all read on one
+    steering grid: the result is (..., A, R)."""
     angle_grid = np.asarray(angle_grid, dtype=float)
     radius_grid = np.asarray(radius_grid, dtype=float)
     if angle_grid.size == 0 or radius_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    u = steering_matrix(cfg, angle_grid[:, None], radius_grid)  # (A, R, N)
-    return np.abs(u.conj() @ np.asarray(f_column)) ** 2
+    m = _matrix_of(f)
+    if m.ndim == 1:
+        m = m[:, None]
+    u = steering_matrix(cfg, angle_grid[:, None], radius_grid).conj()  # (A, R, N)
+    total = np.zeros(m.shape[:-2] + u.shape[:-1])
+    # each column's product on the grid, added in column order: one
+    # (A R, N) @ (N, C) product rounds differently
+    for item in np.ndindex(m.shape[:-2]):
+        for column in m[item].T:
+            total[item] += np.abs(u @ column) ** 2
+    return total
 
 
 def total_power(model: PowerModel, p: float, n_bs: int, n_rf: int, baseband: bool) -> float:

@@ -161,6 +161,7 @@ def test_malformed_config_exits_2(tmp_path):
         ("run", {"power": {"p_tx": 1}}),
         ("pattern", {"pattern_locations": [5]}),
         ("pattern", {"pattern_locations": [["a", 2]]}),
+        ("pattern", {"pattern_locations": []}),
     ):
         experiment = "beam-pattern" if command == "pattern" else "sumrate-vs-snr"
         wrong = tmp_path / "wrong.json"
@@ -218,6 +219,22 @@ def test_a_non_finite_snr_flag_exits_2(tmp_path, command, experiment, value):
     code, out, err = _run([command, "--config", cfg, f"--snr-db={value}"])
     assert code == 2 and out == ""
     assert "snr_db must be finite" in err, err
+
+
+@pytest.mark.parametrize("command, experiment, value", [
+    ("run", "sumrate-vs-snr", "4000"),  # 10^400 overflows
+    ("run", "sumrate-vs-snr", "-4000"),  # 10^-400 is 0
+    ("run", "sumrate-vs-nbs", "4000"),  # not swept there: the flag sets the field
+    ("run", "sumrate-vs-nbs", "-4000"),
+    ("pattern", "beam-pattern", "4000"),
+    ("pattern", "beam-pattern", "-4000"),
+])
+def test_an_snr_flag_with_no_finite_noise_power_exits_2(tmp_path, command, experiment, value):
+    cfg = _write_config(tmp_path, experiment=experiment,
+                        sweep=[16] if experiment == "sumrate-vs-nbs" else [])
+    code, out, err = _run([command, "--config", cfg, f"--snr-db={value}"])
+    assert code == 2 and out == ""
+    assert "snr_db" in err and "noise power" in err, err
 
 
 def test_a_non_finite_pattern_radius_exits_2(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 import nfbf.codebook
 import nfbf.harness
+import nfbf.metrics
 from nfbf.channel import random_scenario
 from nfbf.cli import main
 from nfbf.geometry import steering_matrix
@@ -201,6 +202,18 @@ def test_a_bad_aux_sweep_value_fails_before_any_build_or_draw(monkeypatch):
     log = _counted(monkeypatch, ["build_codebook", "random_scenario"])
     spec = _tiny_spec(experiment="aux-sweep", schemes=("aobf-imperfect",), sweep=(1, 0))
     with pytest.raises(ValueError, match="r_count and s_count must be >= 1"):
+        run_experiment(spec)
+    assert log == []
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_an_snr_with_no_finite_noise_power_fails_before_any_build_or_draw(monkeypatch, snr_db):
+    # 10^400 overflows and 10^-400 is 0: either leaves no finite noise power
+    log = _counted(monkeypatch, ["build_codebook", "random_scenario"])
+    with pytest.raises(ValueError, match="snr_db"):
+        _tiny_spec(snr_db=snr_db)
+    spec = _tiny_spec(schemes=("aobf-imperfect",), sweep=(0.0, snr_db))
+    with pytest.raises(ValueError, match="snr_db"):
         run_experiment(spec)
     assert log == []
 
@@ -426,13 +439,29 @@ def test_pattern_scenario_locations_and_modes():
     assert locs[0].angle == pytest.approx(np.deg2rad(-23.57), rel=1e-15)
     assert locs[0].radius == pytest.approx(50.0, rel=1e-15)
     assert all(len(u.paths) == 1 and u.paths[0].gain == 1.0 for u in sc.users)
-    rnd = dataclasses.replace(spec, pattern_random_paths=True)
-    sc_r1 = pattern_scenario(rnd)
-    sc_r2 = pattern_scenario(rnd)
-    assert all(len(u.paths) == 3 for u in sc_r1.users)
-    for u1, u2 in zip(sc_r1.users, sc_r2.users):
-        assert np.array_equal(u1.vector, u2.vector)
-    assert not np.array_equal(sc_r1.users[0].vector, sc.users[0].vector)
+    # the one path: no random-path mode, and no seed for a pattern to read
+    with pytest.raises(ValueError, match="unknown keys.*pattern_random_paths"):
+        spec_from_dict({"experiment": "beam-pattern", "pattern_random_paths": True})
+    with pytest.raises(SystemExit) as exc:
+        main(["pattern", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_run_beam_pattern_builds_one_steering_grid(monkeypatch):
+    # every scheme and every beam column is read on the same (A, R, N) grid
+    grids = []
+    real = nfbf.metrics.steering_matrix
+
+    def counted(cfg, angles, radii):
+        out = real(cfg, angles, radii)
+        grids.append(out.shape)
+        return out
+
+    monkeypatch.setattr(nfbf.metrics, "steering_matrix", counted)
+    spec = ExperimentSpec(experiment="beam-pattern", n_bs=16, n_dis=10)
+    res = run_beam_pattern(spec)
+    assert grids == [(181, 30, 16)]
+    assert len(res.grids) == len(SCHEMES)
 
 
 def test_run_beam_pattern_grids_and_gains():
@@ -505,7 +534,6 @@ def test_spec_from_dict_roundtrip_and_unknown_keys():
         {"sweep": 5},
         {"power": 5},
         {"mm": {"t_max": 1.5}},
-        {"pattern_random_paths": 1},
     )
     for bad in wrong_types:
         with pytest.raises(ValueError):

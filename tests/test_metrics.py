@@ -164,6 +164,19 @@ def test_beam_pattern_grid_matches_pointwise():
         for j, r in enumerate(radii):
             want = abs(np.vdot(steering_matrix(cfg, a, r), f)) ** 2
             assert grid[i, j] == pytest.approx(want, rel=1e-12)
+    # an (N, C) beamformer: its grid sums every column's pointwise gain
+    m = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    m /= np.linalg.norm(m, axis=0)
+    grid = beam_pattern_grid(cfg, m, angles, radii)
+    assert grid.shape == (4, 3)
+    for i, a in enumerate(angles):
+        for j, r in enumerate(radii):
+            want = sum(abs(np.vdot(steering_matrix(cfg, a, r), m[:, c])) ** 2 for c in range(3))
+            assert grid[i, j] == pytest.approx(want, rel=1e-12)
+    # a stack of beamformers reads each on the one grid, bit for bit as alone
+    stacked = beam_pattern_grid(cfg, np.stack([m, m[:, ::-1]]), angles, radii)
+    assert np.array_equal(stacked[0], grid)
+    assert np.array_equal(stacked[1], beam_pattern_grid(cfg, m[:, ::-1], angles, radii))
     with pytest.raises(ValueError):
         beam_pattern_grid(cfg, f, np.array([]), radii)
 
