@@ -21,6 +21,7 @@ from .codebook import codebook_grid, export_codebook_csv
 from .harness import (
     SWEEP_AXES,
     ExperimentSpec,
+    PatternSpec,
     run_beam_pattern,
     run_experiment,
     spec_from_dict,
@@ -42,30 +43,32 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
 
 
-def _load_spec(path: str | None, default_experiment: str) -> ExperimentSpec:
+def _load_spec(path: str | None, default: ExperimentSpec | PatternSpec):
+    """The config at path as a spec of default's type; default without a config."""
     if path is None:
-        return ExperimentSpec(experiment=default_experiment)
+        return default
     with open(path) as fh:
         doc = json.load(fh)
-    return spec_from_dict(doc)
+    return spec_from_dict(doc, type(default))
 
 
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
+def _apply_overrides(spec: ExperimentSpec | PatternSpec, args):
     if getattr(args, "seed", None) is not None:
         spec = replace(spec, base_seed=args.seed)
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
+    swept = SWEEP_AXES[spec.experiment].fields if isinstance(spec, ExperimentSpec) else ()
     # each list flag and the spec field it sets; the flag's argparse dest is the field
     for flag, name in (("--snr-db", "snr_db"), ("--nbs", "n_bs"), ("--k", "k")):
         values = getattr(args, name, None)
         if values is None:
             continue
-        if name in SWEEP_AXES[spec.experiment].fields:
+        if name in swept:
             spec = replace(spec, sweep=values)
         elif len(values) == 1:
             spec = replace(spec, **{name: values[0]})
         else:
-            raise ValueError(f"{flag} takes one value unless {spec.experiment} sweeps {name}")
+            raise ValueError(f"{flag} takes one value unless the experiment sweeps {name}")
     return spec
 
 
@@ -78,14 +81,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    spec = _apply_overrides(_load_spec(args.config, "sumrate-vs-snr"), args)
+    spec = _load_spec(args.config, ExperimentSpec(experiment="sumrate-vs-snr"))
+    spec = _apply_overrides(spec, args)
     table = run_experiment(spec)
     _emit(table.to_json() + "\n" if args.format == "json" else table.to_csv(), args.out)
     return 0
 
 
 def _cmd_pattern(args) -> int:
-    spec = _apply_overrides(_load_spec(args.config, "beam-pattern"), args)
+    spec = _apply_overrides(_load_spec(args.config, PatternSpec()), args)
     result = run_beam_pattern(spec)
     text = result.to_csv()
     if args.out is not None:
@@ -97,7 +101,8 @@ def _cmd_pattern(args) -> int:
 def _cmd_codebook(args) -> int:
     if args.out is None:
         raise ValueError("codebook export needs --out")
-    spec = _apply_overrides(_load_spec(args.config, "sumrate-vs-snr"), args)
+    spec = _load_spec(args.config, ExperimentSpec(experiment="sumrate-vs-snr"))
+    spec = _apply_overrides(spec, args)
     # the export writes the grid alone, so no sweep basis is built
     cb = codebook_grid(spec.array_config(), spec.n_dis, spec.beta)
     export_codebook_csv(cb, args.out)

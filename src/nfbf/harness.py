@@ -5,7 +5,8 @@ size), run every requested scheme on common per-trial random scenarios, and
 aggregate per-scheme metric means with standard errors into a ResultTable.
 Per-trial seeds are base_seed + trial index, so runs are reproducible and
 sweeps share random scenarios across schemes and sweep values where the
-configuration allows it.
+configuration allows it. A beam pattern (PatternSpec, run_beam_pattern) is no
+sweep: it reads every scheme's design at fixed user locations, and draws nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ SWEEP_AXES = {
     "sumrate-vs-nbs": SweepAxis(("n_bs",), _integral, DEFAULT_NBS_SWEEP),
     "sumrate-vs-k": SweepAxis(("k",), _integral, DEFAULT_K_SWEEP),
     "ee-vs-snr": SweepAxis(("snr_db",), float, DEFAULT_SNR_SWEEP),
-    "beam-pattern": SweepAxis((), None, ()),
     "aux-sweep": SweepAxis(("r_count", "s_count"), _integral, DEFAULT_AUX_SWEEP),
 }
 EXPERIMENTS = tuple(SWEEP_AXES)
@@ -85,18 +85,14 @@ TRIAL_CHUNK = 32
 CSV_HEADER = ("sweep", "scheme", "metric", "mean", "stderr", "trials")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Full description of one experiment run."""
+@dataclass(frozen=True, kw_only=True)
+class _DesignSpec:
+    """The fields a sweep and a beam pattern share, and their checks: the
+    schemes, the array, the codebook and auxiliary grid, the SNR, the transmit
+    power and the MM settings. _design_table reads a spec of either kind."""
 
-    experiment: str
     schemes: tuple[str, ...] = SCHEMES
-    trials: int = 200
-    sweep: tuple[float, ...] = ()
-    base_seed: int = 0
     n_bs: int = 64
-    k: int = 4
-    l: int = 3
     wavelength: float = 1.0
     spacing: float | None = None
     n_dis: int = DEFAULT_N_DIS
@@ -106,13 +102,10 @@ class ExperimentSpec:
     snr_db: float = 20.0
     p: float = 1.0
     mm: MMConfig = field(default_factory=MMConfig)
-    power: PowerModel = field(default_factory=PowerModel)
-    pilot_noise_factor: float = 1.0
-    pattern_locations: tuple[tuple[float, float], ...] = DEFAULT_PATTERN_LOCATIONS
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment: {self.experiment!r}")
+    def _check(self, users: int) -> None:
+        """A ValueError where a shared field is out of range; users is the K
+        of the noise power P / (K 10^(snr_db/10))."""
         if not self.schemes:
             raise ValueError("schemes must be nonempty")
         bad = [s for s in self.schemes if s not in SCHEMES]
@@ -121,10 +114,6 @@ class ExperimentSpec:
         repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
         if repeated:
             raise ValueError(f"repeated schemes: {repeated}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.k < 1 or self.l < 1:
-            raise ValueError("k and l must be >= 1")
         # the codebook's own checks, made here so that a bad sweep value fails
         # in value_spec, before any codebook is built or trial drawn
         if self.n_dis < 1:
@@ -135,9 +124,6 @@ class ExperimentSpec:
             raise ValueError("r_count and s_count must be >= 1")
         if not 0 < self.p < np.inf:
             raise ValueError("p must be positive and finite")
-        if not self.pattern_locations:
-            raise ValueError("pattern_locations must be nonempty")
-        users = len(self.pattern_locations) if self.experiment == "beam-pattern" else self.k
         try:
             sigma2 = noise_from_snr(self.p, users, self.snr_db)
         except (OverflowError, ZeroDivisionError):
@@ -145,12 +131,48 @@ class ExperimentSpec:
         if not 0 < sigma2 < np.inf:  # NaN fails too
             raise ValueError(f"snr_db must be finite and give a positive finite noise power, "
                              f"got {self.snr_db!r}")
-        if not 0 <= self.pilot_noise_factor < np.inf:
-            raise ValueError("pilot_noise_factor must be nonnegative and finite")
         self.array_config()  # the array's own checks, likewise
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(n_bs=self.n_bs, wavelength=self.wavelength, spacing=self.spacing)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(_DesignSpec):
+    """Full description of one sweep experiment."""
+
+    experiment: str
+    trials: int = 200
+    sweep: tuple[float, ...] = ()
+    base_seed: int = 0
+    k: int = 4
+    l: int = 3
+    power: PowerModel = field(default_factory=PowerModel)
+    pilot_noise_factor: float = 1.0
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment: {self.experiment!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.k < 1 or self.l < 1:
+            raise ValueError("k and l must be >= 1")
+        if not 0 <= self.pilot_noise_factor < np.inf:
+            raise ValueError("pilot_noise_factor must be nonnegative and finite")
+        self._check(self.k)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PatternSpec(_DesignSpec):
+    """Full description of one beam-pattern readout: one user per
+    (angle in degrees, radius in wavelengths) of locations."""
+
+    locations: tuple[tuple[float, float], ...] = DEFAULT_PATTERN_LOCATIONS
+
+    def __post_init__(self):
+        if not self.locations:
+            raise ValueError("locations must be nonempty")
+        self._check(len(self.locations))
 
 
 def resolved_sweep(spec: ExperimentSpec) -> tuple:
@@ -218,7 +240,7 @@ def _zero_forcing(f_ab, eff):
         return exc
 
 
-def _mm_columns(spec: ExperimentSpec, chunk: list, cb: PolarCodebook | None, csi: str,
+def _mm_columns(spec: _DesignSpec, chunk: list, cb: PolarCodebook | None, csi: str,
                 aux: tuple[int, int]) -> list:
     """One regime's analog MM design of every trial as one batch; each trial's (N, K) columns."""
     if csi == "perfect":
@@ -247,7 +269,7 @@ def _wmmse_composites(trials: int, steering: dict, eff: dict, problems: list, p:
     return out
 
 
-def _design_table(spec: ExperimentSpec, chunk: list, cb: PolarCodebook | None, cells,
+def _design_table(spec: _DesignSpec, chunk: list, cb: PolarCodebook | None, cells,
                   pilot_noise_factor: float) -> dict:
     """Every cell's beamformers for a chunk of trials that share N and K.
 
@@ -329,8 +351,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     time, and a run of at most TRIAL_CHUNK trials designs and rates without
     any basis held.
     """
-    if spec.experiment == "beam-pattern":
-        raise ValueError("beam-pattern runs through run_beam_pattern")
     if spec.experiment == "aux-sweep":
         bad = [s for s in spec.schemes if s != "aobf-imperfect"]
         if bad:
@@ -437,22 +457,21 @@ class BeamPatternResult:
         return "\n".join(lines)
 
 
-def pattern_scenario(spec: ExperimentSpec) -> Scenario:
+def pattern_scenario(spec: PatternSpec) -> Scenario:
     """Fixed-location scenario for beam-pattern runs: one deterministic
-    unit-gain path per user at the configured locations."""
+    unit-gain path per user at the configured locations. Nothing in it is
+    drawn, so its seed is a constant."""
     cfg = spec.array_config()
     users = [
         make_user_channel(cfg, [PathComponent(1.0 + 0j, PolarCoord(np.deg2rad(a_deg),
                                                                    r_lam * cfg.wavelength))])
-        for a_deg, r_lam in spec.pattern_locations
+        for a_deg, r_lam in spec.locations
     ]
-    return Scenario(users=users, array=cfg, seed=spec.base_seed)
+    return Scenario(users=users, array=cfg, seed=0)
 
 
-def run_beam_pattern(spec: ExperimentSpec) -> BeamPatternResult:
+def run_beam_pattern(spec: PatternSpec) -> BeamPatternResult:
     """Beam patterns and per-UE gains for the fixed-location configuration."""
-    if spec.experiment != "beam-pattern":
-        raise ValueError("spec.experiment must be beam-pattern")
     cfg = spec.array_config()
     scenario = pattern_scenario(spec)
     sigma2 = noise_from_snr(spec.p, scenario.k, spec.snr_db)
@@ -543,6 +562,7 @@ def _json_kwargs(cls, doc, what: str) -> dict:
     return {name: _from_json(v, hints[name], f"{what} key {name!r}") for name, v in doc.items()}
 
 
-def spec_from_dict(doc: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from a JSON config document (fail-fast)."""
-    return _from_json(doc, ExperimentSpec, "config")
+def spec_from_dict(doc: dict, cls: type = ExperimentSpec) -> ExperimentSpec | PatternSpec:
+    """Build an ExperimentSpec, or a spec of the given cls, from a JSON config
+    document (fail-fast)."""
+    return _from_json(doc, cls, "config")

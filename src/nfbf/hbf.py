@@ -40,9 +40,8 @@ class HybridBeamformer:
     composite: BeamformerMatrix
 
     def split(self) -> list[HybridBeamformer]:
-        """Each problem of a batch as its own beamformer; one problem gives [self]."""
-        if self.digital.ndim == 2:
-            return [self]
+        """Each problem of a batch, whose digital stage is a (B, K, K) stack as
+        hbf_wmmse returns, as its own beamformer."""
         k = self.digital.shape[-1]
         return [
             HybridBeamformer(

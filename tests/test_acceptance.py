@@ -13,7 +13,7 @@ import numpy as np
 from nfbf.channel import random_scenario
 from nfbf.codebook import CodewordIndex, beam_sweep, build_codebook
 from nfbf.geometry import ArrayConfig, PolarCoord, element_distances
-from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
+from nfbf.harness import SCHEMES, ExperimentSpec, PatternSpec, run_beam_pattern, run_experiment
 from nfbf.mm import MMConfig, aobf_perfect_csi
 from oracles import mm_update_perfect
 from nfbf.selftest import run_selftest
@@ -77,11 +77,7 @@ def test_criterion_3_constant_modulus_selftest():
 
 
 def test_criterion_4_beam_pattern_gains():
-    spec = ExperimentSpec(
-        experiment="beam-pattern",
-        schemes=("aobf-perfect", "steer-perfect"),
-        n_bs=64,
-    )
+    spec = PatternSpec(schemes=("aobf-perfect", "steer-perfect"), n_bs=64)
     res = run_beam_pattern(spec)
     a = res.gains_db("aobf-perfect")
     s = res.gains_db("steer-perfect")
@@ -96,7 +92,7 @@ def test_criterion_4_beam_pattern_gains():
     lam = spec.wavelength
     xs = (np.arange(spec.n_bs) - (spec.n_bs - 1) / 2.0) * lam / 2.0
     u = np.empty((spec.n_bs, k), dtype=complex)
-    for col, (a_deg, r_lam) in enumerate(spec.pattern_locations):
+    for col, (a_deg, r_lam) in enumerate(spec.locations):
         ang, r = np.deg2rad(a_deg), r_lam * lam
         dist = np.hypot(r * np.sin(ang) - xs, r * np.cos(ang))
         u[:, col] = np.exp(-2j * np.pi * dist / lam) / np.sqrt(spec.n_bs)

@@ -42,6 +42,14 @@ def _write_config(tmp_path, **kw):
     return str(path)
 
 
+def _write_pattern_config(tmp_path, **kw):
+    doc = dict(schemes=["steer-perfect", "hbf-zf-perfect"], n_bs=16, n_dis=10)
+    doc.update(kw)
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_run_writes_deterministic_csv(tmp_path):
     cfg = _write_config(tmp_path)
     out1 = tmp_path / "a.csv"
@@ -159,13 +167,23 @@ def test_malformed_config_exits_2(tmp_path):
         ("run", {"spacing": "x"}),
         ("run", {"power": {"includes_baseband": False}}),
         ("run", {"power": {"p_tx": 1}}),
-        ("pattern", {"pattern_locations": [5]}),
-        ("pattern", {"pattern_locations": [["a", 2]]}),
-        ("pattern", {"pattern_locations": []}),
+        ("run", {"pattern_locations": [[10.0, 50.0]]}),
+        ("pattern", {"locations": [5]}),
+        ("pattern", {"locations": [["a", 2]]}),
+        ("pattern", {"locations": []}),
+        # a pattern draws nothing and sweeps nothing: every sweep-only key is unknown
+        ("pattern", {"experiment": "beam-pattern"}),
+        ("pattern", {"base_seed": 9}),
+        ("pattern", {"trials": 7}),
+        ("pattern", {"sweep": [1, 2]}),
+        ("pattern", {"k": 8}),
+        ("pattern", {"l": 5}),
+        ("pattern", {"power": {"p_bb": 0.3}}),
+        ("pattern", {"pilot_noise_factor": 0.5}),
     ):
-        experiment = "beam-pattern" if command == "pattern" else "sumrate-vs-snr"
+        base = {} if command == "pattern" else {"experiment": "sumrate-vs-snr"}
         wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps(dict(experiment=experiment, **doc)))
+        wrong.write_text(json.dumps(dict(base, **doc)))
         code4, _, err4 = _run([command, "--config", str(wrong)])
         assert code4 == 2 and "error:" in err4, doc
         assert next(iter(doc)) in err4, err4  # the key at fault, not a later failure
@@ -205,6 +223,14 @@ def test_run_exits_2_on_a_non_finite_number(tmp_path, doc, field):
     assert "error:" in err and field in err, err
 
 
+def _snr_flag_config(tmp_path, command, experiment):
+    # "beam-pattern" labels the pattern cases: a pattern config names no experiment
+    if command == "pattern":
+        return _write_pattern_config(tmp_path)
+    return _write_config(tmp_path, experiment=experiment,
+                         sweep=[16] if experiment == "sumrate-vs-nbs" else [])
+
+
 @pytest.mark.parametrize("command, experiment, value", [
     ("run", "sumrate-vs-snr", "nan"),
     ("run", "sumrate-vs-snr", "0,inf"),
@@ -214,8 +240,7 @@ def test_run_exits_2_on_a_non_finite_number(tmp_path, doc, field):
     ("pattern", "beam-pattern", "inf"),
 ])
 def test_a_non_finite_snr_flag_exits_2(tmp_path, command, experiment, value):
-    cfg = _write_config(tmp_path, experiment=experiment,
-                        sweep=[16] if experiment == "sumrate-vs-nbs" else [])
+    cfg = _snr_flag_config(tmp_path, command, experiment)
     code, out, err = _run([command, "--config", cfg, f"--snr-db={value}"])
     assert code == 2 and out == ""
     assert "snr_db must be finite" in err, err
@@ -230,15 +255,14 @@ def test_a_non_finite_snr_flag_exits_2(tmp_path, command, experiment, value):
     ("pattern", "beam-pattern", "-4000"),
 ])
 def test_an_snr_flag_with_no_finite_noise_power_exits_2(tmp_path, command, experiment, value):
-    cfg = _write_config(tmp_path, experiment=experiment,
-                        sweep=[16] if experiment == "sumrate-vs-nbs" else [])
+    cfg = _snr_flag_config(tmp_path, command, experiment)
     code, out, err = _run([command, "--config", cfg, f"--snr-db={value}"])
     assert code == 2 and out == ""
     assert "snr_db" in err and "noise power" in err, err
 
 
 def test_a_non_finite_pattern_radius_exits_2(tmp_path):
-    cfg = _write_config(tmp_path, experiment="beam-pattern", pattern_locations=[[10.0, NAN]])
+    cfg = _write_pattern_config(tmp_path, locations=[[10.0, NAN]])
     code, out, err = _run(["pattern", "--config", cfg])
     assert code == 2 and out == ""
     assert "radius" in err, err
@@ -329,12 +353,7 @@ def test_module_form_runs_without_installing(tmp_path):
 
 
 def test_pattern_prints_gain_table(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        experiment="beam-pattern",
-        schemes=["steer-perfect"],
-        n_bs=16,
-    )
+    cfg = _write_pattern_config(tmp_path, schemes=["steer-perfect"])
     out = tmp_path / "pattern.csv"
     code, stdout, _ = _run(["pattern", "--config", cfg, "--out", str(out)])
     assert code == 0
@@ -346,13 +365,8 @@ def test_pattern_prints_gain_table(tmp_path):
 
 def test_pattern_exits_2_on_a_singular_zero_forcing_channel(tmp_path):
     # two users at one point give the effective channel two equal columns
-    cfg = _write_config(
-        tmp_path,
-        experiment="beam-pattern",
-        schemes=["hbf-zf-perfect"],
-        n_bs=16,
-        pattern_locations=[[10.0, 50.0], [10.0, 50.0]],
-    )
+    cfg = _write_pattern_config(tmp_path, schemes=["hbf-zf-perfect"],
+                                locations=[[10.0, 50.0], [10.0, 50.0]])
     code, out, err = _run(["pattern", "--config", cfg])
     assert code == 2
     assert out == ""

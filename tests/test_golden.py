@@ -26,7 +26,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from nfbf.codebook import build_codebook
 from nfbf.geometry import ArrayConfig
-from nfbf.harness import SCHEMES, ExperimentSpec, run_beam_pattern, run_experiment
+from nfbf.harness import SCHEMES, ExperimentSpec, PatternSpec, run_beam_pattern, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # printed with every golden mismatch: the bits depend on both (module docstring)
@@ -52,7 +52,7 @@ GOLDEN_SPECS = {
 }
 
 PATTERN_GOLDEN = "beam_pattern.txt"
-PATTERN_SPEC = ExperimentSpec(experiment="beam-pattern", n_bs=16, n_dis=40)
+PATTERN_SPEC = PatternSpec(n_bs=16, n_dis=40)
 
 
 def pattern_digest(spec):

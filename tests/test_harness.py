@@ -26,6 +26,7 @@ from nfbf.harness import (
     SCHEMES,
     ExperimentSpec,
     BeamPatternResult,
+    PatternSpec,
     pattern_scenario,
     resolved_sweep,
     run_beam_pattern,
@@ -335,11 +336,19 @@ def test_aux_sweep_restricted_to_aobf_imperfect():
     assert table.value(2, "aobf-imperfect", "sum_rate").trials == 1
 
 
-def test_beam_pattern_rejected_by_run_experiment():
-    with pytest.raises(ValueError):
-        run_experiment(ExperimentSpec(experiment="beam-pattern"))
-    with pytest.raises(ValueError):
-        run_beam_pattern(_tiny_spec())
+def test_beam_pattern_is_a_spec_of_its_own():
+    # a sweep cannot name a pattern, and a pattern holds only what it reads
+    with pytest.raises(ValueError, match="unknown experiment"):
+        ExperimentSpec(experiment="beam-pattern")
+    assert [f.name for f in dataclasses.fields(PatternSpec)] == [
+        "schemes", "n_bs", "wavelength", "spacing", "n_dis", "beta", "r_count", "s_count",
+        "snr_db", "p", "mm", "locations",
+    ]
+    assert len(dataclasses.fields(ExperimentSpec)) == 19
+    with pytest.raises(TypeError):
+        PatternSpec(experiment="beam-pattern")
+    with pytest.raises(TypeError):
+        ExperimentSpec(experiment="sumrate-vs-snr", locations=((0.0, 50.0),))
 
 
 def test_singular_zero_forcing_becomes_nan_policy():
@@ -432,7 +441,7 @@ def test_all_schemes_run_on_a_tiny_problem():
 
 
 def test_pattern_scenario_locations_and_modes():
-    spec = ExperimentSpec(experiment="beam-pattern", n_bs=16)
+    spec = PatternSpec(n_bs=16)
     sc = pattern_scenario(spec)
     assert sc.k == 3
     locs = sc.user_locations()
@@ -441,7 +450,7 @@ def test_pattern_scenario_locations_and_modes():
     assert all(len(u.paths) == 1 and u.paths[0].gain == 1.0 for u in sc.users)
     # the one path: no random-path mode, and no seed for a pattern to read
     with pytest.raises(ValueError, match="unknown keys.*pattern_random_paths"):
-        spec_from_dict({"experiment": "beam-pattern", "pattern_random_paths": True})
+        spec_from_dict({"pattern_random_paths": True}, PatternSpec)
     with pytest.raises(SystemExit) as exc:
         main(["pattern", "--seed", "1"])
     assert exc.value.code == 2
@@ -458,18 +467,14 @@ def test_run_beam_pattern_builds_one_steering_grid(monkeypatch):
         return out
 
     monkeypatch.setattr(nfbf.metrics, "steering_matrix", counted)
-    spec = ExperimentSpec(experiment="beam-pattern", n_bs=16, n_dis=10)
+    spec = PatternSpec(n_bs=16, n_dis=10)
     res = run_beam_pattern(spec)
     assert grids == [(181, 30, 16)]
     assert len(res.grids) == len(SCHEMES)
 
 
 def test_run_beam_pattern_grids_and_gains():
-    spec = ExperimentSpec(
-        experiment="beam-pattern",
-        schemes=("steer-perfect", "aobf-perfect"),
-        n_bs=16,
-    )
+    spec = PatternSpec(schemes=("steer-perfect", "aobf-perfect"), n_bs=16)
     res = run_beam_pattern(spec)
     assert isinstance(res, BeamPatternResult)
     assert res.angles_deg.shape == (181,)
@@ -546,7 +551,6 @@ def test_experiment_names_are_stable():
         "sumrate-vs-nbs",
         "sumrate-vs-k",
         "ee-vs-snr",
-        "beam-pattern",
         "aux-sweep",
     )
     assert len(SCHEMES) == 8
@@ -815,8 +819,7 @@ def test_a_run_too_large_for_memory_fails_before_its_first_draw(monkeypatch):
 
 def test_beam_pattern_frees_the_basis_after_its_sweep(monkeypatch):
     refs, designs = _basis_lifetimes(monkeypatch)
-    spec = ExperimentSpec(experiment="beam-pattern",
-                          schemes=("aobf-imperfect", "steer-imperfect"), n_bs=16, n_dis=20)
+    spec = PatternSpec(schemes=("aobf-imperfect", "steer-imperfect"), n_bs=16, n_dis=20)
     run_beam_pattern(spec)
     assert len(refs) == 2
     assert designs == [(True, True)]
