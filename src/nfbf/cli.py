@@ -6,8 +6,8 @@ Subcommands:
   codebook  export the polar codebook grid as CSV
   selftest  run the module invariant suite
 
-Angles are accepted in degrees at this boundary only; the library works in
-radians.
+A pattern's user locations (PatternSpec.locations) are in degrees and
+wavelengths; the library works in radians.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ def _load_spec(path: str | None, default: ExperimentSpec | PatternSpec):
     return spec_from_dict(doc, type(default))
 
 
-def _apply_overrides(spec: ExperimentSpec | PatternSpec, args):
+def _apply_overrides(spec: ExperimentSpec | PatternSpec, args, swept=()):
+    """spec with args' flags; a list flag on a field in swept sets the sweep."""
     if getattr(args, "seed", None) is not None:
         spec = replace(spec, base_seed=args.seed)
     if getattr(args, "trials", None) is not None:
         spec = replace(spec, trials=args.trials)
-    swept = SWEEP_AXES[spec.experiment].fields if isinstance(spec, ExperimentSpec) else ()
     # each list flag and the spec field it sets; the flag's argparse dest is the field
     for flag, name in (("--snr-db", "snr_db"), ("--nbs", "n_bs"), ("--k", "k")):
         values = getattr(args, name, None)
@@ -68,7 +68,7 @@ def _apply_overrides(spec: ExperimentSpec | PatternSpec, args):
         elif len(values) == 1:
             spec = replace(spec, **{name: values[0]})
         else:
-            raise ValueError(f"{flag} takes one value unless the experiment sweeps {name}")
+            raise ValueError(f"{flag} takes one value unless nfbf run sweeps {name}")
     return spec
 
 
@@ -82,7 +82,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args.config, ExperimentSpec(experiment="sumrate-vs-snr"))
-    spec = _apply_overrides(spec, args)
+    spec = _apply_overrides(spec, args, SWEEP_AXES[spec.experiment].fields)
     table = run_experiment(spec)
     _emit(table.to_json() + "\n" if args.format == "json" else table.to_csv(), args.out)
     return 0

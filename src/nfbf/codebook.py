@@ -124,14 +124,11 @@ class PolarCodebook:
         q = np.array([idx.q - 1 for idx in indices], dtype=int)
         return steering_matrix(self.array, self.angles[p], self.radii[p, q])
 
-    @property
-    def codewords(self) -> np.ndarray:
-        """(P, Q, N) array of the whole grid, made by one steering_matrix call."""
-        return steering_matrix(self.array, self.angles[:, None], self.radii)
-
     def flat(self) -> np.ndarray:
-        """(P*Q, N) array of the codewords, row-major in (p, q)."""
-        return self.codewords.reshape(-1, self.array.n_bs)
+        """(P*Q, N) array of the whole grid's codewords, row-major in (p, q),
+        made by one steering_matrix call."""
+        whole = steering_matrix(self.array, self.angles[:, None], self.radii)
+        return whole.reshape(-1, self.array.n_bs)
 
     @property
     def basis_error(self) -> float:
@@ -155,8 +152,6 @@ class AuxiliaryGrid:
 
     angles: np.ndarray  # (R,)
     radii: np.ndarray  # (R, S)
-    r_count: int
-    s_count: int
 
 
 def grid_angle(n_bs: int, p, r_count: int = 1) -> np.ndarray:
@@ -462,7 +457,7 @@ def auxiliary_points(
     v = (a_here + a_inner) / 2.0 + (a_outer - a_inner) * (2.0 * s - 1.0) / (4.0 * s_count)
 
     radii = _ring_scale(cb.array, cb.beta) * (1.0 - sin_a[:, None] ** 2) * v[None, :]
-    return AuxiliaryGrid(angles=ang, radii=radii, r_count=r_count, s_count=s_count)
+    return AuxiliaryGrid(angles=ang, radii=radii)
 
 
 def approximate_channel_matrices(

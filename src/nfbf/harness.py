@@ -31,7 +31,6 @@ from .hbf import (
     hbf_zf,
 )
 from .metrics import (
-    BeamformerMatrix,
     PowerModel,
     beam_pattern_grid,
     noise_from_snr,
@@ -172,6 +171,10 @@ class PatternSpec(_DesignSpec):
     def __post_init__(self):
         if not self.locations:
             raise ValueError("locations must be nonempty")
+        for i, (angle, radius) in enumerate(self.locations):
+            if not (-90.0 <= angle < 90.0 and 0 < radius < np.inf):  # NaN fails too
+                raise ValueError(f"locations[{i}] must be an angle in [-90, 90) degrees and a "
+                                 f"positive finite radius, got {(angle, radius)!r}")
         self._check(len(self.locations))
 
 
@@ -247,15 +250,14 @@ def _mm_columns(spec: _DesignSpec, chunk: list, cb: PolarCodebook | None, csi: s
         bf, _ = aobf_perfect_csi([scenario for scenario, _ in chunk], spec.mm)
     else:
         bf, _ = aobf_imperfect_csi(cb, [indices for _, indices in chunk], *aux, spec.mm)
-    return [BeamformerMatrix(np.ascontiguousarray(cols), bf.kind)
-            for cols in np.split(bf.matrix, len(chunk), axis=1)]
+    return bf.split(len(chunk))
 
 
 def _wmmse_composites(trials: int, steering: dict, eff: dict, problems: list, p: float) -> dict:
     """Every trial's (regime, pilot-noise power, noise power) WMMSE problems as
     one batch: {problem: each trial's composite}. Only the composites outlive
-    the call, so the batch's analog and digital stacks are freed before the
-    chunk's rates are computed."""
+    the call, so the batch's digital stack is freed before the chunk's rates
+    are computed."""
     todo = [(t, problem) for t in range(trials) for problem in problems]
     hybrid, _ = hbf_wmmse(
         [steering[csi][t] for t, (csi, _, _) in todo],
@@ -264,8 +266,8 @@ def _wmmse_composites(trials: int, steering: dict, eff: dict, problems: list, p:
         [sigma2 for _, (_, _, sigma2) in todo],
     )
     out = {problem: [] for problem in problems}
-    for (_, problem), hb in zip(todo, hybrid.split()):
-        out[problem].append(hb.composite)
+    for (_, problem), composite in zip(todo, hybrid.composite.split(len(todo))):
+        out[problem].append(composite)
     return out
 
 
@@ -356,8 +358,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         if bad:
             raise ValueError(f"aux-sweep only supports aobf-imperfect, got {bad}")
     sweep = resolved_sweep(spec)
-    if not sweep:
-        raise ValueError("sweep values must be nonempty")
 
     # one (value, that value's spec, noise power) entry per sweep value; a value
     # equal to an earlier one after the axis cast (16 and 16.0 on an int axis)
@@ -525,7 +525,8 @@ _JSON_TYPES = {
 def _from_json(value, hint, where: str):
     """The JSON value as the type hint's Python value, or a ValueError where it
     does not fit: null fits an optional hint, a list becomes a tuple whose
-    items each fit the tuple's first type, and an object becomes a dataclass."""
+    items each fit their type in the tuple hint, and an object becomes a
+    dataclass."""
     args = typing.get_args(hint)
     if type(None) in args:
         if value is None:
@@ -535,13 +536,16 @@ def _from_json(value, hint, where: str):
     if is_dataclass(hint):
         return hint(**_json_kwargs(hint, value, where))
     origin = typing.get_origin(hint) or hint
-    if origin not in _JSON_TYPES:
-        return value
     want, label = _JSON_TYPES[origin]
     if not isinstance(value, want) or isinstance(value, bool) != (origin is bool):
         raise ValueError(f"{where} must be {label}, got {value!r}")
     if origin is tuple:
-        return tuple(_from_json(x, args[0], f"{where}[{i}]") for i, x in enumerate(value))
+        # tuple[T, ...] fits a list of any length, tuple[T1, T2] a list of two
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ValueError(f"{where} must be a list of {len(items)} items, got {value!r}")
+        return tuple(_from_json(x, a, f"{where}[{i}]")
+                     for i, (x, a) in enumerate(zip(value, items)))
     return value
 
 

@@ -29,31 +29,14 @@ class SingularEffectiveChannelError(ValueError):
 
 @dataclass
 class HybridBeamformer:
-    """Analog stage, digital stage, and their composite.
+    """Digital stage and the composite of the analog stage with it.
 
-    A batch of B problems holds (N, B K) analog and composite matrices,
-    problem-major, and a (B, K, K) digital stack.
+    A batch of B problems holds a (B, K, K) digital stack and an (N, B K)
+    composite, item-major, which BeamformerMatrix.split cuts into problems.
     """
 
-    analog: np.ndarray
     digital: np.ndarray
     composite: BeamformerMatrix
-
-    def split(self) -> list[HybridBeamformer]:
-        """Each problem of a batch, whose digital stage is a (B, K, K) stack as
-        hbf_wmmse returns, as its own beamformer."""
-        k = self.digital.shape[-1]
-        return [
-            HybridBeamformer(
-                analog=np.ascontiguousarray(self.analog[:, i * k : (i + 1) * k]),
-                digital=d,
-                composite=BeamformerMatrix(
-                    np.ascontiguousarray(self.composite.matrix[:, i * k : (i + 1) * k]),
-                    self.composite.kind,
-                ),
-            )
-            for i, d in enumerate(self.digital)
-        ]
 
 
 @dataclass
@@ -134,15 +117,6 @@ def effective_channel(
     return m
 
 
-def _composite(analog: np.ndarray, digital: np.ndarray) -> HybridBeamformer:
-    comp = analog @ digital
-    return HybridBeamformer(
-        analog=analog,
-        digital=digital,
-        composite=BeamformerMatrix(matrix=comp, kind=HYBRID_COMPOSITE),
-    )
-
-
 def hbf_zf(f_ab: BeamformerMatrix, eff: np.ndarray) -> HybridBeamformer:
     """Zero-forcing digital stage on the effective channel.
 
@@ -155,7 +129,7 @@ def hbf_zf(f_ab: BeamformerMatrix, eff: np.ndarray) -> HybridBeamformer:
     d = np.linalg.inv(eff.conj().T)
     norms = np.linalg.norm(a @ d, axis=0)
     d = d / norms
-    return _composite(a, d)
+    return HybridBeamformer(digital=d, composite=BeamformerMatrix(a @ d, HYBRID_COMPOSITE))
 
 
 _NEWTON_CAP = 100
@@ -234,12 +208,12 @@ def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSE
 
     f_ab is a list of B analog stages of equal (N, K), eff the list of their
     B (K, K) effective channels, and p and sigma2 are scalars or one value per
-    problem. It returns one HybridBeamformer of (N, B K) analog and composite
-    matrices, problem-major, with a (B, K, K) digital stack, and a
-    WMMSEBatchReport. Each problem of a batch is bit-identical, in its
-    composite, count, flag and trace, to that problem solved as a batch of
-    one: every step is a stacked product or decomposition whose items are
-    computed one by one, and a converged problem leaves the batch.
+    problem. It returns a HybridBeamformer of an (N, B K) composite,
+    item-major, and a (B, K, K) digital stack, and a WMMSEBatchReport. Each
+    problem of a batch is bit-identical, in its composite, count, flag and
+    trace, to that problem solved as a batch of one: every step is a stacked
+    product or decomposition whose items are computed one by one, and a
+    converged problem leaves the batch.
 
     Alternates per-user scalar receivers, MSE weights, and a digital precoder
     solved from the weighted normal equations A V = C under the composite power
@@ -315,17 +289,8 @@ def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSE
     norms = np.linalg.norm(a @ v, axis=-2)
     norms[norms == 0] = 1.0
     v = v / norms[:, None, :]
-    comp = a @ v
+    # item-major: columns b K to b K + K - 1 are problem b's
+    comp = (a @ v).transpose(1, 0, 2).reshape(a.shape[1], -1)
     reports = [WMMSEReport(iterations_used=int(n), converged=bool(c), sumrate_trace=np.array(tr))
                for n, c, tr in zip(used, converged, traces)]
-    hybrid = HybridBeamformer(
-        analog=_problem_major(a),
-        digital=v,
-        composite=BeamformerMatrix(_problem_major(comp), HYBRID_COMPOSITE),
-    )
-    return hybrid, WMMSEBatchReport(reports)
-
-
-def _problem_major(stack: np.ndarray) -> np.ndarray:
-    """(B, N, K) stack as the (N, B K) matrix whose columns b K to b K + K - 1 are item b."""
-    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+    return HybridBeamformer(v, BeamformerMatrix(comp, HYBRID_COMPOSITE)), WMMSEBatchReport(reports)

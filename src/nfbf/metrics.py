@@ -39,6 +39,12 @@ class BeamformerMatrix:
         else:
             raise ValueError(f"unknown beamformer kind: {self.kind!r}")
 
+    def split(self, count: int) -> list[BeamformerMatrix]:
+        """An item-major (N, count K) batch as its count (N, K) items, each a
+        contiguous copy of this kind."""
+        return [BeamformerMatrix(np.ascontiguousarray(cols), self.kind)
+                for cols in np.split(self.matrix, count, axis=1)]
+
 
 def conjugate_phase(hh: np.ndarray) -> np.ndarray:
     """The conjugate-phase analog beamformer of the (..., N, K) channel
@@ -101,8 +107,8 @@ def sum_rate(scenario, f, p: float, sigma2: float) -> float:
 
 
 def beam_pattern_grid(cfg, f, angle_grid, radius_grid) -> np.ndarray:
-    """Summed beam gains of an (N, C) beamformer, or of one (N,) column; entry
-    (i, j) = sum over columns f_c of |u(angle_i, radius_j)^H f_c|^2.
+    """Summed beam gains of the (N, C) beamformer array f; entry (i, j) = sum
+    over columns f_c of |u(angle_i, radius_j)^H f_c|^2.
 
     f may carry leading stack axes, one beamformer per item, all read on one
     steering grid: the result is (..., A, R)."""
@@ -110,9 +116,9 @@ def beam_pattern_grid(cfg, f, angle_grid, radius_grid) -> np.ndarray:
     radius_grid = np.asarray(radius_grid, dtype=float)
     if angle_grid.size == 0 or radius_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    m = _matrix_of(f)
-    if m.ndim == 1:
-        m = m[:, None]
+    m = np.asarray(f)
+    if m.ndim < 2:
+        raise ValueError("f must be an (N, C) beamformer array or a stack of them")
     u = steering_matrix(cfg, angle_grid[:, None], radius_grid).conj()  # (A, R, N)
     total = np.zeros(m.shape[:-2] + u.shape[:-1])
     # each column's product on the grid, added in column order: one

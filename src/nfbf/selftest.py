@@ -243,7 +243,7 @@ def _check_hbf_invariants(rng) -> str:
             return f"WMMSE step missed its budget by {miss / budget:.1e} relative"
     batch.composite.validate(MODULUS_TOL)
     for seed, (scen, f_ab, eff, one, one_rep) in enumerate(
-            zip(scens, analog, effs, batch.split(), batch_rep.reports)):
+            zip(scens, analog, effs, batch.composite.split(len(scens)), batch_rep.reports)):
         f_ab.validate(MODULUS_TOL)
         zf = hbf_zf(f_ab, eff)
         zf.composite.validate(MODULUS_TOL)
@@ -258,7 +258,7 @@ def _check_hbf_invariants(rng) -> str:
         wm.composite.validate(MODULUS_TOL)
         if np.any(np.diff(rep.sumrate_trace) < -1e-9):
             return f"WMMSE trace decreased (seed {seed})"
-        same = (np.array_equal(one.composite.matrix, wm.composite.matrix)
+        same = (np.array_equal(one.matrix, wm.composite.matrix)
                 and one_rep.iterations_used == rep.iterations_used
                 and one_rep.converged == rep.converged
                 and np.array_equal(one_rep.sumrate_trace, rep.sumrate_trace))
@@ -287,24 +287,28 @@ def _check_all_schemes_emit_valid_beamformers(rng) -> str:
     return ""
 
 
+# every check, in the order run_selftest runs them: (name, check of an rng,
+# returning "" or what failed)
+CHECKS = (
+    ("geometry-distance-oracle", _check_distance_oracle),
+    ("geometry-steering-invariants", _check_steering_invariants),
+    ("codebook-self-selection", _check_codebook_self_selection),
+    ("codebook-mirror", _check_codebook_mirror),
+    ("codebook-aux-intervals", _check_aux_intervals),
+    ("channel-determinism", _check_channel_determinism),
+    ("metrics-invariants", _check_metric_invariants),
+    ("mm-descent-and-modulus", _check_mm_descent),
+    ("mm-product-forms", _check_mm_product_forms),
+    ("hbf-invariants", _check_hbf_invariants),
+    ("harness-all-schemes-deterministic", _check_all_schemes_emit_valid_beamformers),
+)
+
+
 def run_selftest(seed: int = 0) -> list[CheckResult]:
-    """Run every invariant check; returns one result per check."""
-    checks = [
-        ("geometry-distance-oracle", _check_distance_oracle),
-        ("geometry-steering-invariants", _check_steering_invariants),
-        ("codebook-self-selection", _check_codebook_self_selection),
-        ("codebook-mirror", _check_codebook_mirror),
-        ("codebook-aux-intervals", _check_aux_intervals),
-        ("channel-determinism", _check_channel_determinism),
-        ("metrics-invariants", _check_metric_invariants),
-        ("mm-descent-and-modulus", _check_mm_descent),
-        ("mm-product-forms", _check_mm_product_forms),
-        ("hbf-invariants", _check_hbf_invariants),
-        ("harness-all-schemes-deterministic", _check_all_schemes_emit_valid_beamformers),
-    ]
+    """Run every check of CHECKS; returns one result per check."""
     rng = np.random.default_rng(seed)
     results = []
-    for name, fn in checks:
+    for name, fn in CHECKS:
         try:
             detail = fn(rng)
         except Exception as exc:  # a crash is a failed check, not a crashed suite

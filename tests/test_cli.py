@@ -171,6 +171,10 @@ def test_malformed_config_exits_2(tmp_path):
         ("pattern", {"locations": [5]}),
         ("pattern", {"locations": [["a", 2]]}),
         ("pattern", {"locations": []}),
+        # each location is one (angle in degrees, radius) pair, the angle in [-90, 90)
+        ("pattern", {"locations": [[10, 50, 3]]}),
+        ("pattern", {"locations": [[10]]}),
+        ("pattern", {"locations": [[95, 50]]}),
         # a pattern draws nothing and sweeps nothing: every sweep-only key is unknown
         ("pattern", {"experiment": "beam-pattern"}),
         ("pattern", {"base_seed": 9}),
@@ -326,6 +330,18 @@ def test_codebook_export(tmp_path):
     assert code2 == 2 and "needs --out" in err
 
 
+def test_codebook_takes_one_nbs_value_even_where_the_config_sweeps_it(tmp_path):
+    # the export reads no sweep: one --nbs value sets N, and a list is an error
+    cfg = _write_config(tmp_path, experiment="sumrate-vs-nbs", sweep=[16, 32], n_bs=64)
+    out = tmp_path / "cb.csv"
+    code, stdout, _ = _run(["codebook", "--config", cfg, "--nbs", "16", "--out", str(out)])
+    assert code == 0 and "wrote 160 codewords" in stdout
+    assert len(out.read_text().splitlines()) == 1 + 16 * 10
+    code, stdout, err = _run(["codebook", "--config", cfg, "--nbs", "16,32", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert "--nbs takes one value" in err, err
+
+
 def test_codebook_export_needs_no_memory_for_the_basis(tmp_path, monkeypatch):
     # the export writes the grid, so a memory figure below the N = 64 basis,
     # which build_codebook refuses, still writes the full codebook's CSV
@@ -379,6 +395,26 @@ def test_selftest_passes_and_exits_zero():
     assert "checks passed" in out
     head = out.splitlines()[0]
     assert head.startswith("ok") or head.startswith("PASS") or "ok" in head
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--snr-db", "1,x"],
+    ["run", "--nbs", "16,x"],
+])
+def test_a_list_flag_with_a_bad_item_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "bad list" in capsys.readouterr().err
+
+
+def test_a_null_spacing_is_the_default_spacing(tmp_path):
+    # null fits the optional spacing and means half a wavelength, as when absent
+    _, want, _ = _run(["run", "--config", _write_config(tmp_path, wavelength=2.0)])
+    code, got, _ = _run(["run", "--config", _write_config(tmp_path, wavelength=2.0, spacing=None)])
+    assert code == 0 and got == want
+    _, spaced, _ = _run(["run", "--config", _write_config(tmp_path, wavelength=2.0, spacing=1.5)])
+    assert spaced != want
 
 
 def test_missing_subcommand_is_usage_error():

@@ -89,7 +89,7 @@ def test_build_codebook_shapes_and_locations():
     cb = build_codebook(cfg, n_dis=6, beta=1.6)
     assert cb.angles.shape == (8,)
     assert cb.radii.shape == (8, 6)
-    assert cb.codewords.shape == (8, 6, 8)
+    assert cb.flat().shape == (8 * 6, 8)
     assert np.all(np.diff(cb.radii, axis=1) < 0)
     with pytest.raises(ValueError):
         cb.codewords_at([CodewordIndex(p=0, q=1)])
@@ -109,7 +109,7 @@ def test_codewords_are_steering_vectors():
         (word,) = cb.codewords_at([idx])
         assert np.allclose(word, codeword(cb, idx), rtol=0, atol=1e-14)
     # every codeword keeps the analog constant modulus
-    assert np.allclose(np.abs(cb.codewords), 1.0 / 4.0, rtol=0, atol=1e-12)
+    assert np.allclose(np.abs(cb.flat()), 1.0 / 4.0, rtol=0, atol=1e-12)
 
 
 def test_codewords_at_equals_per_index_codewords():
@@ -170,7 +170,6 @@ def test_materialized_grid_equals_one_whole_grid_steering_call(n, wavelength):
     assert cb.diffs.shape == (n // 2, half, 320)
     whole = steering_matrix(cfg, cb.angles[:, None], cb.radii)
     assert_basis_within_its_bound(cb, whole)
-    assert np.array_equal(cb.codewords, whole)
     assert np.array_equal(cb.flat(), whole.reshape(-1, n))
     assert np.array_equal(cb.codewords_at([CodewordIndex(p + 1, 5) for p in range(n)]),
                           whole[:, 4])
@@ -203,9 +202,9 @@ def test_codebook_is_read_only():
         word = cb.codewords_at([CodewordIndex(p, 2)])
         word[:] = 0.0
         assert np.all(np.abs(cb.codewords_at([CodewordIndex(p, 2)])) > 0)
-    grid = cb.codewords
+    grid = cb.flat()
     grid[:] = 0.0
-    assert np.all(np.abs(cb.codewords) > 0)
+    assert np.all(np.abs(cb.flat()) > 0)
     h = codeword(cb, CodewordIndex(12, 2))
     assert beam_sweep(cb, h) == CodewordIndex(12, 2)
 
@@ -317,7 +316,7 @@ def test_beam_sweep_tie_breaks_to_first():
             assert np.array_equal(h, h[::-1])
             # the full grid's product sums each pair in a different order, so
             # its pair ties only to rounding
-            scores = np.abs(cb.codewords @ h.conj())
+            scores = np.abs(cb.flat() @ h.conj()).reshape(n, cb.n_dis)
             p, q = np.unravel_index(np.argmax(scores), scores.shape)
             assert scores[n - 1 - p, q] == pytest.approx(scores[p, q], rel=1e-12)
             assert beam_sweep(cb, h) == CodewordIndex(p=min(p, n - 1 - p) + 1, q=q + 1)
@@ -559,7 +558,7 @@ def test_approximate_channel_matrices_pointwise():
     assert mats[0].shape == (4, 16)
     assert mats[1].shape == (3, 16)
     for mat, grid in zip(mats, [g1, g2]):
-        for row, (r, s) in zip(mat, np.ndindex(grid.r_count, grid.s_count), strict=True):
+        for row, (r, s) in zip(mat, np.ndindex(grid.radii.shape), strict=True):
             want = steering_matrix(cfg, grid.angles[r], grid.radii[r, s])
             assert np.allclose(row, want, rtol=0, atol=1e-13)
     with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ def codebook_digest(arrays):
     lines = []
     for cfg in arrays:
         cb = build_codebook(cfg)
-        sha = hashlib.sha256(cb.codewords.tobytes()).hexdigest()
+        sha = hashlib.sha256(cb.flat().tobytes()).hexdigest()
         lines.append(f"n_bs={cfg.n_bs} wavelength={cfg.wavelength!r} spacing={cfg.spacing!r} "
                      f"n_dis={cb.n_dis} beta={cb.beta!r} sha256 {sha}")
     return "\n".join(lines) + "\n"

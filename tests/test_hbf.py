@@ -153,12 +153,12 @@ def test_wmmse_single_user_matches_matched_filter_rate():
     f_ab = analog_beam_steering("perfect", scenario=sc)
     eff = effective_channel(f_ab, sc)
     p, sigma2 = 1.0, 0.05
-    [(hb, rep)] = _solve_batch([(sc, f_ab, eff, p, sigma2)])
-    hb.composite.validate(atol=1e-9)
+    [(f, rep)] = _solve_batch([(sc, f_ab, eff, p, sigma2)])
+    f.validate(atol=1e-9)
     h = sc.users[0].vector
     col = f_ab.matrix[:, 0] / np.linalg.norm(f_ab.matrix[:, 0])
     want = np.log2(1.0 + p * abs(np.vdot(h, col)) ** 2 / sigma2)
-    got = sum_rate(sc, hb.composite, p, sigma2)
+    got = sum_rate(sc, f, p, sigma2)
     assert got == pytest.approx(want, rel=1e-9)
     assert rep.iterations_used >= 1
     assert len(rep.sumrate_trace) == rep.iterations_used + 1
@@ -174,9 +174,9 @@ def test_wmmse_not_worse_than_zf_at_low_snr():
         sc = random_scenario(ArrayConfig(n_bs=64), k, 3, seed=seed)
         f_ab = analog_beam_steering("perfect", scenario=sc)
         drops.append((sc, f_ab, effective_channel(f_ab, sc), p, sigma2))
-    for (sc, f_ab, eff, _, _), (hb, _) in zip(drops, _solve_batch(drops)):
+    for (sc, f_ab, eff, _, _), (f, _) in zip(drops, _solve_batch(drops)):
         rate_zf = sum_rate(sc, hbf_zf(f_ab, eff).composite, p, sigma2)
-        assert sum_rate(sc, hb.composite, p, sigma2) >= rate_zf - 1e-9
+        assert sum_rate(sc, f, p, sigma2) >= rate_zf - 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +218,9 @@ def test_wmmse_deterministic():
     sc = random_scenario(ArrayConfig(n_bs=32), 4, 3, seed=11)
     f_ab = analog_beam_steering("perfect", scenario=sc)
     eff = effective_channel(f_ab, sc)
-    [(hb1, r1)] = _solve_batch([(sc, f_ab, eff, 1.0, 0.02)])
-    [(hb2, r2)] = _solve_batch([(sc, f_ab, eff, 1.0, 0.02)])
-    assert np.array_equal(hb1.composite.matrix, hb2.composite.matrix)
+    [(f1, r1)] = _solve_batch([(sc, f_ab, eff, 1.0, 0.02)])
+    [(f2, r2)] = _solve_batch([(sc, f_ab, eff, 1.0, 0.02)])
+    assert np.array_equal(f1.matrix, f2.matrix)
     assert r1.iterations_used == r2.iterations_used
 
 
@@ -373,11 +373,10 @@ def _per_call_wmmse(f_ab, eff, p, sigma2, iters=100, tol=1e-6):
     return _unit_columns(a, v), it, converged
 
 
-def _assert_matches_oracles(sc, f_ab, eff, p, sigma2, hb, rep):
-    """hb and rep, one problem's WMMSE solution, against both oracles: the
-    lstsq bisection within 1e-8 in composite and rate, the per-call engine
-    within 1e-8 in rate; equal counts and flags with both."""
-    got = BeamformerMatrix(hb.composite.matrix, HYBRID_COMPOSITE)
+def _assert_matches_oracles(sc, f_ab, eff, p, sigma2, got, rep):
+    """got and rep, one problem's WMMSE composite and report, against both
+    oracles: the lstsq bisection within 1e-8 in composite and rate, the
+    per-call engine within 1e-8 in rate; equal counts and flags with both."""
     for oracle in (_oracle_wmmse, _per_call_wmmse):
         want, it, converged = oracle(f_ab, eff, p, sigma2)
         if oracle is _oracle_wmmse:
@@ -386,7 +385,7 @@ def _assert_matches_oracles(sc, f_ab, eff, p, sigma2, hb, rep):
             sum_rate(sc, BeamformerMatrix(want, HYBRID_COMPOSITE), p, sigma2), rel=1e-8, abs=0
         )
         assert (rep.iterations_used, rep.converged) == (it, converged)
-    return hb
+    return got
 
 
 def _assert_matches_oracle(*drop):
@@ -395,15 +394,15 @@ def _assert_matches_oracle(*drop):
 
 def _solve_batch(drops):
     """Every (scenario, analog, effective channel, p, sigma2) drop as one
-    hbf_wmmse batch; one (HybridBeamformer, WMMSEReport) per drop."""
+    hbf_wmmse batch; one (composite, WMMSEReport) per drop."""
     hb, rep = hbf_wmmse([d[1] for d in drops], [d[2] for d in drops],
                         [d[3] for d in drops], [d[4] for d in drops])
-    return list(zip(hb.split(), rep.reports))
+    return list(zip(hb.composite.split(len(drops)), rep.reports))
 
 
 def _assert_batch_matches_oracles(drops):
     for drop, solved in zip(drops, _solve_batch(drops), strict=True):
-        _assert_matches_oracles(*drop, *solved).composite.validate(atol=1e-9)
+        _assert_matches_oracles(*drop, *solved).validate(atol=1e-9)
 
 
 def _regime_drops(cb, seeds, snrs):
@@ -582,9 +581,9 @@ def test_wmmse_at_high_snr_where_steps_meet_the_budget_unconstrained(cb64, snr_d
     # (seed 5's imperfect regime does), so only its composite is checked
     drops = list(_regime_drops(cb64, range(10), [snr_db]))
     distinct = 0
-    for drop, (hb, rep) in zip(drops, _solve_batch(drops), strict=True):
-        assert np.all(np.isfinite(hb.composite.matrix))
-        hb.composite.validate(atol=1e-9)
+    for drop, (f, rep) in zip(drops, _solve_batch(drops), strict=True):
+        assert np.all(np.isfinite(f.matrix))
+        f.validate(atol=1e-9)
         f_ab = drop[1].matrix
         if np.linalg.matrix_rank(f_ab.conj().T @ f_ab) == f_ab.shape[1]:
             distinct += 1
@@ -601,9 +600,9 @@ def _switched_off_drop():
 
 
 def test_wmmse_normalizes_a_switched_off_user():
-    hb = _assert_matches_oracle(*_switched_off_drop())
-    assert np.all(np.isfinite(hb.composite.matrix))
-    hb.composite.validate(atol=1e-9)
+    f = _assert_matches_oracle(*_switched_off_drop())
+    assert np.all(np.isfinite(f.matrix))
+    f.validate(atol=1e-9)
 
 
 def test_each_problem_of_a_mixed_batch_equals_itself_solved_alone(cb64):
@@ -627,13 +626,14 @@ def test_each_problem_of_a_mixed_batch_equals_itself_solved_alone(cb64):
     assert rep.iterations_used == sum(r.iterations_used for r in rep.reports)
     assert rep.converged == sum(r.converged for r in rep.reports)
     assert rep.converged < len(drops)  # some problems stop at the cap, others leave early
-    for i, (drop, one, one_rep) in enumerate(zip(drops, hb.split(), rep.reports, strict=True)):
-        [(alone, alone_rep)] = _solve_batch([drop])
+    parts = zip(drops, hb.composite.split(len(drops)), hb.digital, rep.reports, strict=True)
+    for i, (drop, one, digital, one_rep) in enumerate(parts):
+        alone, alone_batch_rep = hbf_wmmse([drop[1]], [drop[2]], [drop[3]], [drop[4]])
+        (alone_rep,) = alone_batch_rep.reports
         assert np.array_equal(hb.composite.matrix[:, i * k : (i + 1) * k],
                               alone.composite.matrix)
-        assert np.array_equal(one.composite.matrix, alone.composite.matrix)
-        assert np.array_equal(one.digital, alone.digital)
-        assert np.array_equal(one.analog, alone.analog)
+        assert np.array_equal(one.matrix, alone.composite.matrix)
+        assert np.array_equal(digital, alone.digital[0])
         assert one_rep.iterations_used == alone_rep.iterations_used
         assert one_rep.converged == alone_rep.converged
         assert np.array_equal(one_rep.sumrate_trace, alone_rep.sumrate_trace)

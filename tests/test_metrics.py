@@ -143,11 +143,11 @@ def test_beam_gain_cauchy_schwarz_bound():
     cfg = ArrayConfig(n_bs=32)
     for _ in range(50):
         angles, radii = rng.uniform(-np.pi / 2, np.pi / 2, 3), rng.uniform(3.0, 500.0, 4)
-        f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        f = rng.standard_normal((32, 1)) + 1j * rng.standard_normal((32, 1))
         f /= np.linalg.norm(f)
         assert np.max(beam_pattern_grid(cfg, f, angles, radii)) <= 1.0 + 1e-12
     # matched filter achieves the bound
-    f = steering_matrix(cfg, -0.4, 25.0)
+    f = steering_matrix(cfg, -0.4, 25.0)[:, None]
     assert beam_pattern_grid(cfg, f, [-0.4], [25.0])[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_beam_pattern_grid_matches_pointwise():
     f /= np.linalg.norm(f)
     angles = np.deg2rad([-60.0, -10.0, 0.0, 35.0])
     radii = np.array([5.0, 50.0, 200.0])
-    grid = beam_pattern_grid(cfg, f, angles, radii)
+    grid = beam_pattern_grid(cfg, f[:, None], angles, radii)
     assert grid.shape == (4, 3)
     for i, a in enumerate(angles):
         for j, r in enumerate(radii):
@@ -178,7 +178,11 @@ def test_beam_pattern_grid_matches_pointwise():
     assert np.array_equal(stacked[0], grid)
     assert np.array_equal(stacked[1], beam_pattern_grid(cfg, m[:, ::-1], angles, radii))
     with pytest.raises(ValueError):
-        beam_pattern_grid(cfg, f, np.array([]), radii)
+        beam_pattern_grid(cfg, f[:, None], np.array([]), radii)
+    # one (N,) column is no beamformer array, nor is a BeamformerMatrix
+    for one in (f, BeamformerMatrix(m, HYBRID_COMPOSITE)):
+        with pytest.raises(ValueError, match="beamformer array"):
+            beam_pattern_grid(cfg, one, angles, radii)
 
 
 def test_total_power_oracle():
@@ -255,3 +259,18 @@ def test_dimension_mismatch_errors():
     cfg, sc, f = _random_scenario_and_f(rng, 8, 2)
     with pytest.raises(ValueError):
         sinr(sc, f[:4, :], 0, 1.0, 0.1)
+
+
+def test_split_cuts_an_item_major_batch_into_contiguous_items():
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    batch = BeamformerMatrix(m, HYBRID_COMPOSITE)
+    items = batch.split(3)
+    assert len(items) == 3
+    for i, item in enumerate(items):
+        assert item.kind == HYBRID_COMPOSITE
+        assert item.matrix.flags.c_contiguous
+        assert np.array_equal(item.matrix, m[:, 2 * i : 2 * i + 2])
+        assert not np.shares_memory(item.matrix, m)
+    with pytest.raises(ValueError):
+        batch.split(4)  # 6 columns are no 4 items of equal width

@@ -568,6 +568,13 @@ def test_each_trial_of_a_batch_equals_its_design_alone():
             _assert_trial_equals_alone(f, rep, t, one)
 
 
+def test_a_batch_of_trials_with_unequal_user_counts_is_an_error():
+    cb = build_codebook(ArrayConfig(n_bs=16), n_dis=8)
+    trials = [[CodewordIndex(4, 2), CodewordIndex(12, 5)], [CodewordIndex(9, 1)]]
+    with pytest.raises(ValueError, match="same number of users"):
+        aobf_imperfect_csi(cb, trials, 1, 1)
+
+
 def test_a_converged_trial_leaves_the_batch(monkeypatch):
     # perfect CSI at N = 64, seeds 0 and 1: seed 0's columns have all
     # converged after a iterations, seed 1's after b > a; iterations 1..a
