@@ -29,18 +29,30 @@ from .harness import (
 from .selftest import run_selftest
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
+def _list_of(cast):
+    """An argparse type: comma-separated values, each cast, at least one given."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(cast(x) for x in text.split(",") if x.strip() != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return values
+
+    return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
+_float_list, _int_list = _list_of(float), _list_of(int)
+
+
+def _seed(text: str) -> int:
+    """An argparse type: a base seed, an integer >= 0."""
+    seed = int(text)  # argparse reports a ValueError as an invalid value
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _load_spec(path: str | None, default: ExperimentSpec | PatternSpec):
@@ -123,7 +135,7 @@ def _add_common(sp, *names) -> None:
     if "config" in names:
         sp.add_argument("--config", help="JSON experiment config")
     if "seed" in names:
-        sp.add_argument("--seed", type=int, help="base RNG seed")
+        sp.add_argument("--seed", type=_seed, help="base RNG seed (>= 0)")
     if "trials" in names:
         sp.add_argument("--trials", type=int, help="Monte Carlo trials")
     if "out" in names:

@@ -154,6 +154,8 @@ class ExperimentSpec(_DesignSpec):
             raise ValueError(f"unknown experiment: {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.k < 1 or self.l < 1:
             raise ValueError("k and l must be >= 1")
         if not 0 <= self.pilot_noise_factor < np.inf:
@@ -281,7 +283,8 @@ def _design_table(spec: _DesignSpec, chunk: list, cb: PolarCodebook | None, cell
     the SingularEffectiveChannelError its ZF design raised. Each design is
     made once, keyed on what it depends on: steering, the effective channel
     and ZF per trial, each MM regime and grid as one batch, and every WMMSE
-    problem as one batch.
+    problem as one batch. Each design a cell reads is validated once, here,
+    so a design off its invariant raises ValueError before any rate.
     """
     design_of = {}  # cell -> (kind, regime, what else its design depends on)
     for scheme, sigma2, aux in cells:
@@ -316,15 +319,11 @@ def _design_table(spec: _DesignSpec, chunk: list, cb: PolarCodebook | None, cell
     for key in keys:
         if key[0] == "hbf-zf":
             designs[key] = [_zero_forcing(f, e) for f, e in zip(steering[key[1]], eff[key[1:]])]
+    for key in keys:
+        for f in designs[key]:
+            if not isinstance(f, SingularEffectiveChannelError):
+                f.validate()
     return {cell: designs[key] for cell, key in design_of.items()}
-
-
-def _rate(scenario: Scenario, f, p: float, sigma2: float) -> float:
-    """One cell's sum rate; NaN where its ZF design found the effective channel singular."""
-    if isinstance(f, SingularEffectiveChannelError):
-        return float("nan")
-    f.validate()
-    return sum_rate(scenario, f, p, sigma2)
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float, int]:
@@ -404,8 +403,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             for t, (scenario, _) in enumerate(chunk):
                 for v, sigma2, aux in values:
                     for scheme in spec.schemes:
-                        rates[v, scheme][first + t] = _rate(scenario, table[scheme, sigma2, aux][t],
-                                                            spec.p, sigma2)
+                        f = table[scheme, sigma2, aux][t]
+                        rates[v, scheme][first + t] = (
+                            np.nan if isinstance(f, SingularEffectiveChannelError)
+                            else sum_rate(scenario, f, spec.p, sigma2))
 
     rows: list[ResultRow] = []
     for v, vs, _ in per_value:
@@ -496,7 +497,6 @@ def run_beam_pattern(spec: PatternSpec) -> BeamPatternResult:
         (f,) = table[scheme, sigma2, aux]
         if isinstance(f, SingularEffectiveChannelError):
             raise f
-        f.validate()
         matrices.append(f.matrix)
     # every scheme's (N, K) beamformer read on one steering grid
     stacked = beam_pattern_grid(cfg, np.stack(matrices), np.deg2rad(angles_deg), radii)

@@ -213,7 +213,8 @@ def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSE
     problem of a batch is bit-identical, in its composite, count, flag and
     trace, to that problem solved as a batch of one: every step is a stacked
     product or decomposition whose items are computed one by one, and a
-    converged problem leaves the batch.
+    converged problem leaves the batch. One (_WMMSE_ITERS + 1, B) history holds
+    every problem's sum-rate trace; entries past its last iteration go unread.
 
     Alternates per-user scalar receivers, MSE weights, and a digital precoder
     solved from the weighted normal equations A V = C under the composite power
@@ -244,8 +245,8 @@ def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSE
     pw[pw == 0] = 1.0
     v = v / np.sqrt(pw)[:, None, :]
 
-    last = channel_sum_rates(h, v, p, sigma2)
-    traces = [[r] for r in last.tolist()]
+    trace = np.empty((_WMMSE_ITERS + 1, n_prob))
+    trace[0] = channel_sum_rates(h, v, p, sigma2)
     used = np.full(n_prob, _WMMSE_ITERS)
     converged = np.zeros(n_prob, dtype=bool)
     done_v = v.copy()
@@ -263,10 +264,8 @@ def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSE
         c = g * (w * u.conj())[:, None, :]
 
         v, _ = _power_limited_precoder(a_mat, b, c, kk)
-        rate = channel_sum_rates(h[ids], v, p[ids], sigma2[ids])
-        for i, r in zip(ids.tolist(), rate.tolist()):
-            traces[i].append(r)
-        prev, last[ids] = last[ids], rate
+        rate = trace[it, ids] = channel_sum_rates(h[ids], v, p[ids], sigma2[ids])
+        prev = trace[it - 1, ids]
         stop = np.abs(rate - prev) <= _WMMSE_TOL * np.maximum(1.0, np.abs(prev))
         if stop.any():
             done_v[ids[stop]] = v[stop]
@@ -291,6 +290,6 @@ def hbf_wmmse(f_ab: list, eff: list, p, sigma2) -> tuple[HybridBeamformer, WMMSE
     v = v / norms[:, None, :]
     # item-major: columns b K to b K + K - 1 are problem b's
     comp = (a @ v).transpose(1, 0, 2).reshape(a.shape[1], -1)
-    reports = [WMMSEReport(iterations_used=int(n), converged=bool(c), sumrate_trace=np.array(tr))
-               for n, c, tr in zip(used, converged, traces)]
+    reports = [WMMSEReport(int(n), bool(c), trace[: n + 1, i].copy())
+               for i, (n, c) in enumerate(zip(used, converged))]
     return HybridBeamformer(v, BeamformerMatrix(comp, HYBRID_COMPOSITE)), WMMSEBatchReport(reports)

@@ -204,10 +204,12 @@ def _design(rows: np.ndarray, starts: np.ndarray, cfg: MMConfig,
             mu_rule) -> tuple[BeamformerMatrix, MMReport]:
     """Iterate every column of every trial together from its start.
 
-    rows is (T, K, R, N) and starts (T, N, K). A column whose squared step is
-    <= epsilon is masked: its count, trace and returned value are fixed there
-    while its trial's other columns iterate. A trial leaves the batch once
-    all its columns are masked. The matrix is (N, T K), trial-major, and the
+    rows is (T, K, R, N) and starts (T, N, K). A live column whose squared
+    step is <= epsilon is masked: its count, trace and returned value are
+    fixed there while its trial's other columns iterate. A trial leaves the
+    batch once none of its columns is live. One history holds every column's
+    objective trace, one (T, K) row per iteration; a trial's rows past its
+    last iteration go unread. The matrix is (N, T K), trial-major, and the
     report holds one entry per column in that order.
     """
     product = _UpdateProduct(rows, cfg.omega, mu_rule)
@@ -216,40 +218,36 @@ def _design(rows: np.ndarray, starts: np.ndarray, cfg: MMConfig,
     cols = f.copy()
     used = np.full((t_count, k_users), cfg.t_max)
     converged = np.zeros((t_count, k_users), dtype=bool)
-    # a live column's step is held to epsilon, a masked one's to -1, which no step meets
-    bar = np.full((t_count, k_users), float(cfg.epsilon))
+    # rows for 1024 iterations, doubled as the loop passes them: a large t_max reserves nothing
+    trace = np.empty((min(cfg.t_max, 1024) + 1, t_count, k_users))
     ids = np.arange(t_count)  # the trials still in the batch
+    live = np.ones((t_count, k_users), dtype=bool)  # their unmasked columns
     low, gf = product(f)
-    rows_of_trace = [-np.vecdot(f, low, axis=-2).real]
+    trace[0] = -np.vecdot(f, low, axis=-2).real
     for t in range(1, cfg.t_max + 1):
         f_new = _project(gf, f)
         diff = f_new - f
         step = np.vecdot(diff, diff, axis=-2).real
         f = f_new
         low, gf = product(f)
-        obj = -np.vecdot(f, low, axis=-2).real
-        if ids.size < t_count:
-            # a trial that left keeps its last values; they lie past its counts
-            full = rows_of_trace[-1].copy()
-            full[ids] = obj
-            obj = full
-        rows_of_trace.append(obj)
-        done = step <= bar
+        if t == len(trace):
+            trace = np.concatenate([trace, np.empty_like(trace)])
+        trace[t, ids] = -np.vecdot(f, low, axis=-2).real
+        done = live & (step <= cfg.epsilon)
         if done.any():
             trial, col = np.nonzero(done)
             cols[ids[trial], :, col] = f[trial, :, col]
             used[ids[trial], col] = t
             converged[ids[trial], col] = True
-            bar[done] = -1.0
-            stay = (bar >= 0).any(axis=1)
+            live &= ~done
+            stay = live.any(axis=1)
             if not stay.all():
-                ids, f, gf, bar = ids[stay], f[stay], gf[stay], bar[stay]
+                ids, f, gf, live = ids[stay], f[stay], gf[stay], live[stay]
                 if not ids.size:
                     break
                 product.keep(stay)
-    trial, col = np.nonzero(bar >= 0)
+    trial, col = np.nonzero(live)
     cols[ids[trial], :, col] = f[trial, :, col]
-    trace = np.array(rows_of_trace)
     report = MMReport(
         iterations_used=used.ravel().tolist(),
         objective_trace=[trace[: u + 1, i, k].copy() for (i, k), u in np.ndenumerate(used)],

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nfbf.codebook
+import nfbf.harness
 from nfbf.cli import main
 from nfbf.codebook import build_codebook, export_codebook_csv
 from nfbf.geometry import ArrayConfig
@@ -406,6 +407,44 @@ def test_a_list_flag_with_a_bad_item_exits_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "bad list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--snr-db", ",", "--nbs", "16", "--trials", "1"],
+    ["run", "--nbs", ",", "--trials", "1"],
+    ["run", "--k", " , ", "--trials", "1"],
+    ["pattern", "--snr-db", ","],
+])
+def test_an_empty_list_flag_exits_2(argv, capsys):
+    # an empty list is no sweep: it must not fall back to the default sweep
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1", "--nbs", "16", "--snr-db", "10", "--trials", "1"],
+    ["selftest", "--seed", "-1"],
+])
+def test_a_negative_seed_flag_is_a_usage_error(argv, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(nfbf.harness, "build_codebook", lambda *a: built.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert built == []
+
+
+def test_a_negative_base_seed_in_a_config_exits_2_before_any_build(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(nfbf.harness, "build_codebook", lambda *a: built.append(a))
+    cfg = _write_config(tmp_path, schemes=["steer-imperfect"], base_seed=-1)
+    code, out, err = _run(["run", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "error: base_seed must be >= 0" in err
+    assert built == []
 
 
 def test_a_null_spacing_is_the_default_spacing(tmp_path):

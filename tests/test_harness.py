@@ -823,3 +823,45 @@ def test_beam_pattern_frees_the_basis_after_its_sweep(monkeypatch):
     run_beam_pattern(spec)
     assert len(refs) == 2
     assert designs == [(True, True)]
+
+
+def test_each_design_is_validated_once_not_once_per_cell(monkeypatch):
+    # 2 trials, 3 SNR points, all 8 schemes, pilot noise on: per trial one
+    # design for each MM regime, each steering regime and perfect-CSI ZF, and
+    # one per SNR point for imperfect-CSI ZF and both WMMSE regimes, 14 in
+    # all, where the 24 cells of a trial would validate 24 times
+    spec = ExperimentSpec(experiment="sumrate-vs-snr", trials=2, sweep=(0.0, 10.0, 20.0),
+                          n_bs=16, k=3, l=2, n_dis=40, base_seed=3, pilot_noise_factor=1.0)
+    real_validate = nfbf.metrics.BeamformerMatrix.validate
+    validated = []
+
+    def validate(self, *args, **kwargs):
+        validated.append(self)
+        return real_validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(nfbf.metrics.BeamformerMatrix, "validate", validate)
+    table = run_experiment(spec)
+    assert all(row.trials == spec.trials for row in table.rows)  # no singular ZF here
+    assert len(validated) == 14 * spec.trials
+    assert len({id(f) for f in validated}) == len(validated)
+
+    # a design off its invariant still fails the run
+    real_mm = nfbf.harness.aobf_perfect_csi
+
+    def off_modulus(*args):
+        bf, report = real_mm(*args)
+        return nfbf.metrics.BeamformerMatrix(2.0 * bf.matrix, bf.kind), report
+
+    monkeypatch.setattr(nfbf.harness, "aobf_perfect_csi", off_modulus)
+    with pytest.raises(ValueError, match="constant-modulus violation"):
+        run_experiment(spec)
+
+
+def test_a_negative_base_seed_fails_before_any_build_or_draw(monkeypatch):
+    log = _counted(monkeypatch, ["build_codebook", "random_scenario"])
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        _tiny_spec(base_seed=-1)
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        spec_from_dict({"experiment": "sumrate-vs-snr", "base_seed": -1})
+    assert _tiny_spec(base_seed=0).base_seed == 0
+    assert log == []

@@ -713,3 +713,25 @@ def test_a_dense_form_batch_drops_converged_trials(monkeypatch):
     assert left == [sum(end > e for end in ends) for e in sorted(ends)[:-1]]
     for t, one in enumerate(alone):
         _assert_trial_equals_alone(f, rep, t, one)
+
+
+def test_a_large_t_max_reserves_no_history_its_designs_do_not_reach():
+    # the objective history grows by doubling past 1024 iterations: reserved
+    # for t_max = 10**9 up front, it would take 32 GB for these 4 trials,
+    # whose designs converge by iteration 10999
+    cfg = ArrayConfig(n_bs=16)
+    scs = [random_scenario(cfg, 4, 3, seed) for seed in (12, 17, 2, 8)]
+    f, rep = aobf_perfect_csi(scs, MMConfig(t_max=10**9))
+    assert all(rep.converged) and max(rep.iterations_used) == 10999
+    # each trial keeps its bits alone, across the growth of the history
+    for t, sc in enumerate(scs):
+        f_one, one = aobf_perfect_csi(sc, MMConfig(t_max=10**9))
+        cols = slice(4 * t, 4 * t + 4)
+        assert np.array_equal(f.matrix[:, cols], f_one.matrix)
+        assert one.iterations_used == rep.iterations_used[cols]
+        for a, b in zip(one.objective_trace, rep.objective_trace[cols], strict=True):
+            assert np.array_equal(a, b)
+    # and the rows before any growth are those of a design capped below it
+    _, capped = aobf_perfect_csi(scs, MMConfig(t_max=1000))
+    for a, b in zip(capped.objective_trace, rep.objective_trace, strict=True):
+        assert np.array_equal(a, b[: len(a)])
